@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet test race bench bench-quick bench-hot bench-scrub experiments experiments-quick json-smoke telemetry-smoke lint-print lint-wallclock chaos-soak cache-smoke overload-soak scale-smoke scenario-smoke window-smoke sweep-smoke examples clean
+.PHONY: all ci build vet test race bench bench-quick bench-hot bench-scrub experiments experiments-quick json-smoke telemetry-smoke lint-fmt lint-print lint-wallclock chaos-soak cache-smoke overload-soak scale-smoke scenario-smoke window-smoke sweep-smoke examples clean
 
 all: build vet test
 
@@ -31,8 +31,9 @@ all: build vet test
 # sweep smoke (the continuous scrub scheduler's budget, starvation,
 # priority, cursor-resume, and determinism tests plus E26's batched
 # anti-entropy invariants — >= 3x fewer maintenance messages per key than
-# the per-key baseline with byte-identical reports at workers 1 vs 8).
-ci: build vet test race json-smoke telemetry-smoke lint-print lint-wallclock chaos-soak cache-smoke overload-soak scale-smoke scenario-smoke window-smoke sweep-smoke
+# the per-key baseline with byte-identical reports at workers 1 vs 8), and
+# a gofmt gate.
+ci: build vet test race json-smoke telemetry-smoke lint-fmt lint-print lint-wallclock chaos-soak cache-smoke overload-soak scale-smoke scenario-smoke window-smoke sweep-smoke
 
 # Run the instrumented experiment (E20) with -json and re-parse the report
 # with the strict validator (unknown fields rejected): the telemetry section
@@ -40,6 +41,10 @@ ci: build vet test race json-smoke telemetry-smoke lint-print lint-wallclock cha
 telemetry-smoke:
 	$(GO) run ./cmd/dosnbench -quick -exp e20 -json /tmp/godosn-telemetry-ci.json >/dev/null
 	$(GO) run ./cmd/dosnbench -validate /tmp/godosn-telemetry-ci.json
+
+# Every Go file in the module must be gofmt-clean.
+lint-fmt:
+	test -z "$$(gofmt -l .)"
 
 # Library code reports through the telemetry registry (or t.Log in tests),
 # never stdout; only the bench harness renders tables. Fails on any

@@ -15,6 +15,9 @@
 //	dosnbench -capacity 2       # E22 hot-node capacity in requests/tick (>= 1)
 //	dosnbench -batch 256        # E23 read/write batch size ([2, 4096])
 //	dosnbench -list             # list experiments
+//	dosnbench -exp e23 -cpuprofile cpu.prof -memprofile mem.prof
+//	                            # also write CPU and allocation profiles
+//	                            # (go tool pprof -top); any mode accepts them
 //
 // Chaos-scenario modes (mutually exclusive with each other; see
 // internal/scenario):
@@ -46,6 +49,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 
@@ -58,7 +63,7 @@ func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	var (
 		expFlag      = flag.String("exp", "", "comma-separated experiment ids (default: all)")
 		quickFlag    = flag.Bool("quick", false, "reduced parameters for a fast smoke run")
@@ -77,8 +82,25 @@ func run() int {
 		minimizeFlag      = flag.String("scenario-minimize", "", "minimize a failing .scenario file, writing <name>.min.scenario next to it")
 		traceOutFlag      = flag.String("trace-out", "", "emit a telemetry trace of a single -scenario replay: file path, tcp://host:port, unix:///path, optional otlp+ prefix")
 		scenarioRptFlag   = flag.Bool("scenario-report", false, "with -scenario: print each replay's per-window time-series breakdown")
+
+		cpuProfileFlag = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfileFlag = flag.String("memprofile", "", "write an allocation profile to this file when the run ends")
 	)
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProfileFlag, *memProfileFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dosnbench: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "dosnbench: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	scenarioModes := 0
 	for _, f := range []string{*scenarioFlag, *recordLibraryFlag, *minimizeFlag} {
@@ -188,6 +210,45 @@ func run() int {
 		fmt.Printf("\nwrote %s (%d experiments)\n", *jsonFlag, len(report.Experiments))
 	}
 	return 0
+}
+
+// startProfiles starts a CPU profile into cpuPath and returns the function
+// that stops it and writes the allocation profile into memPath; an empty
+// path leaves that profile off. Profiling only observes the run.
+func startProfiles(cpuPath, memPath string) (func() error, error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+		cpu = f
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // flush the allocation statistics of the finished run
+		werr := pprof.Lookup("allocs").WriteTo(f, 0)
+		if cerr := f.Close(); werr == nil {
+			werr = cerr
+		}
+		return werr
+	}, nil
 }
 
 // expandScenarioArgs resolves the -scenario value (comma-separated paths

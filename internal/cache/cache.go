@@ -177,8 +177,7 @@ type Cache[V any] struct {
 	flightMu sync.Mutex
 	flight   map[string]*call[V]
 
-	telMu sync.Mutex
-	tel   *cacheTelemetry
+	tel atomic.Pointer[cacheTelemetry]
 
 	evictMu sync.Mutex
 	onEvict func(key string)
@@ -284,20 +283,18 @@ func (c *Cache[V]) SetTelemetry(reg *telemetry.Registry, prefix string) {
 	if c == nil {
 		return
 	}
-	c.telMu.Lock()
-	defer c.telMu.Unlock()
 	if reg == nil {
-		c.tel = nil
+		c.tel.Store(nil)
 		return
 	}
-	c.tel = &cacheTelemetry{
+	c.tel.Store(&cacheTelemetry{
 		hits:          reg.Counter(prefix + "_hits_total"),
 		misses:        reg.Counter(prefix + "_misses_total"),
 		evictions:     reg.Counter(prefix + "_evictions_total"),
 		invalidations: reg.Counter(prefix + "_invalidations_total"),
 		coalesced:     reg.Counter(prefix + "_coalesced_total"),
 		expirations:   reg.Counter(prefix + "_expirations_total"),
-	}
+	})
 }
 
 // SetOnEvict installs a hook observing capacity evictions in order, called
@@ -315,10 +312,7 @@ func (c *Cache[V]) SetOnEvict(fn func(key string)) {
 // count bumps one counter pair (local atomic + registry mirror).
 func (c *Cache[V]) count(local *atomic.Int64, pick func(*cacheTelemetry) *telemetry.Counter) {
 	local.Add(1)
-	c.telMu.Lock()
-	t := c.tel
-	c.telMu.Unlock()
-	if t != nil {
+	if t := c.tel.Load(); t != nil {
 		pick(t).Inc()
 	}
 }
@@ -416,7 +410,10 @@ func (c *Cache[V]) putGen(key string, val V, gen uint64) {
 		return
 	}
 	s := c.shardOf(key)
-	var evicted []string
+	var (
+		evicted string
+		evict   bool
+	)
 	s.mu.Lock()
 	// Re-check under the shard lock: a concurrent bump between the check
 	// above and acquiring the lock must still win. A bump taken after this
@@ -440,27 +437,31 @@ func (c *Cache[V]) putGen(key string, val V, gen uint64) {
 		e.born = c.clock.Load()
 		s.moveToFront(e)
 	} else {
-		e := &entry[V]{key: key, val: val, gen: gen, born: c.clock.Load(), size: size}
+		// A full shard evicts its least-recently-used entry first and
+		// reuses the node for the new key.
+		e := s.tail
+		if len(s.entries) < s.cap {
+			e = new(entry[V])
+		} else {
+			s.remove(e)
+			evicted, evict = e.key, true
+		}
+		*e = entry[V]{key: key, val: val, gen: gen, born: c.clock.Load(), size: size}
 		if c.budget != nil {
 			c.budget.charge(size) // onRemove credits it back on any exit
 			e.seq = c.budget.nextSeq()
 		}
 		s.entries[key] = e
 		s.pushFront(e)
-		for len(s.entries) > s.cap {
-			tail := s.tail
-			s.remove(tail)
-			evicted = append(evicted, tail.key)
-		}
 	}
 	s.mu.Unlock()
-	for _, k := range evicted {
+	if evict {
 		c.count(&c.evictions, func(t *cacheTelemetry) *telemetry.Counter { return t.evictions })
 		c.evictMu.Lock()
 		fn := c.onEvict
 		c.evictMu.Unlock()
 		if fn != nil {
-			fn(k)
+			fn(evicted)
 		}
 	}
 	if c.budget != nil {
@@ -534,13 +535,18 @@ func (c *Cache[V]) Do(key string, fill func() (V, error)) (V, Outcome, error) {
 	cl.val, cl.err = fill()
 
 	c.flightMu.Lock()
-	delete(c.flight, key)
 	noStore := cl.noStore
 	c.flightMu.Unlock()
-	close(cl.done)
+	// Store before leaving the flight table: a caller arriving in between
+	// must find either the entry or the in-flight call, never neither (it
+	// would run a second fill).
 	if cl.err == nil && !noStore {
 		c.putGen(key, cl.val, gen)
 	}
+	c.flightMu.Lock()
+	delete(c.flight, key)
+	c.flightMu.Unlock()
+	close(cl.done)
 	return cl.val, Filled, cl.err
 }
 

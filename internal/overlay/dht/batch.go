@@ -1,8 +1,10 @@
 package dht
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -29,10 +31,16 @@ import (
 //     touched, not the number of keys.
 //  3. Value copies are arena-allocated. A batch handler copies all incoming
 //     (or outgoing) values into a single backing array instead of one
-//     allocation per key, and envelope key lists are drawn from a sync.Pool
+//     allocation per key, and request envelopes are drawn from a sync.Pool
 //     that recycles them across replica probes (pool lifetime rules in
 //     DESIGN.md §10: pooled buffers never outlive the RPC that borrowed
 //     them — simnet RPCs are synchronous, so reuse after return is safe).
+//
+// Positional results: the per-key result slice is allocated once per batch
+// and every root group writes its keys' outcomes straight into their slots.
+// Groups own disjoint slots, so the writes need no lock at any
+// FanoutWorkers and no per-group result map. Groups themselves are
+// sub-slices of one position list sorted by root.
 //
 // Cost model (the batch determinism contract): a batch is one logical
 // operation whose per-root groups proceed as independent concurrent
@@ -56,7 +64,8 @@ const (
 )
 
 // storeBatchReq carries every key the destination replica holds for this
-// batch, in one envelope.
+// batch, in one envelope. Batch envelopes travel as pointers, so the data
+// plane can recycle them from a pool instead of boxing one per RPC.
 type storeBatchReq struct {
 	Keys   []string
 	Values [][]byte
@@ -78,23 +87,33 @@ const (
 	batchItemOverhead     = 4
 )
 
-// keyListPool recycles envelope key lists across replica probes and groups.
-// Borrowed slices are returned as soon as the last RPC using them has
-// completed; they never escape into handler or reply state (handlers copy
-// what they keep).
-var keyListPool = sync.Pool{New: func() any { s := make([]string, 0, 64); return &s }}
+// The data plane draws its envelopes from pools that recycle them across
+// replica probes and groups. A borrowed envelope is released as soon as the
+// last RPC using it has completed; it never escapes into handler or reply
+// state (handlers copy what they keep), and release clears it so the pool
+// pins no caller bytes.
+var (
+	storeReqPool = sync.Pool{New: func() any { return new(storeBatchReq) }}
+	fetchReqPool = sync.Pool{New: func() any { return new(fetchBatchReq) }}
+)
 
-func borrowKeyList() *[]string { return keyListPool.Get().(*[]string) }
+func (r *storeBatchReq) release() {
+	clear(r.Keys)
+	clear(r.Values)
+	r.Keys, r.Values = r.Keys[:0], r.Values[:0]
+	storeReqPool.Put(r)
+}
 
-func returnKeyList(s *[]string) {
-	*s = (*s)[:0]
-	keyListPool.Put(s)
+func (r *fetchBatchReq) release() {
+	clear(r.Keys)
+	r.Keys = r.Keys[:0]
+	fetchReqPool.Put(r)
 }
 
 // handleStoreBatch executes the replica-side batch write: every value is
 // copied into one arena allocation (one backing array for the whole
 // envelope instead of one per key) and stored under the current map.
-func handleStoreBatch(n *node, req storeBatchReq) (simnet.Message, error) {
+func handleStoreBatch(n *node, req *storeBatchReq) (simnet.Message, error) {
 	if len(req.Keys) != len(req.Values) {
 		return simnet.Message{}, fmt.Errorf("dht: store_batch: %d keys, %d values", len(req.Keys), len(req.Values))
 	}
@@ -117,7 +136,7 @@ func handleStoreBatch(n *node, req storeBatchReq) (simnet.Message, error) {
 
 // handleFetchBatch executes the replica-side batch read: found values are
 // copied into one arena allocation and answered positionally.
-func handleFetchBatch(n *node, req fetchBatchReq) (simnet.Message, error) {
+func handleFetchBatch(n *node, req *fetchBatchReq) (simnet.Message, error) {
 	resp := fetchBatchResp{
 		Found:  make([]bool, len(req.Keys)),
 		Values: make([][]byte, len(req.Keys)),
@@ -212,58 +231,60 @@ func (d *DHT) batchRoots(origin simnet.NodeID, keys []string) (roots []uint64, e
 }
 
 // batchGroup is one per-root work unit: the batch positions whose keys
-// resolved to the same successor root, in input order.
+// resolved to the same successor root, in input order, and the network cost
+// the group's RPCs ran up. idxs is the group's own sub-slice of the batch's
+// shared position list.
 type batchGroup struct {
 	root uint64
 	idxs []int
-}
-
-// groupByRoot buckets successfully routed keys by root, ordered by ring
-// position — a deterministic work list for the group fan-out.
-func groupByRoot(roots []uint64, errs []error) []batchGroup {
-	byRoot := make(map[uint64]*batchGroup)
-	order := make([]uint64, 0, 8)
-	for i := range roots {
-		if errs[i] != nil {
-			continue
-		}
-		g := byRoot[roots[i]]
-		if g == nil {
-			g = &batchGroup{root: roots[i]}
-			byRoot[roots[i]] = g
-			order = append(order, roots[i])
-		}
-		g.idxs = append(g.idxs, i)
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
-	out := make([]batchGroup, len(order))
-	for i, root := range order {
-		out[i] = *byRoot[root]
-	}
-	return out
-}
-
-// groupOutcome is one group's merged result: its network trace plus either
-// a shared error (Put: the envelope is all-or-nothing per replica) or
-// per-position results (Get).
-type groupOutcome struct {
 	tr   simnet.Trace
-	err  error          // PutBatch: applies to every key in the group
-	errs map[int]error  // GetBatch: per-position failures
-	vals map[int][]byte // GetBatch: per-position values
 }
 
-// mergeGroupOutcomes folds per-group traces into the batch trace under the
-// pipelined cost model: counts sum, latency charges the slowest group.
-func mergeGroupOutcomes(tr *simnet.Trace, outcomes []groupOutcome) {
-	var maxLat time.Duration
-	for _, o := range outcomes {
-		tr.Hops += o.tr.Hops
-		tr.Messages += o.tr.Messages
-		tr.Bytes += o.tr.Bytes
-		if o.tr.Latency > maxLat {
-			maxLat = o.tr.Latency
+// groupByRoot buckets successfully routed keys by root: one position list,
+// stable-sorted by root and cut into per-root sub-slices, so groups come in
+// ring order and keep input order within a group — a deterministic work
+// list for the group fan-out.
+func groupByRoot(roots []uint64, errs []error) []batchGroup {
+	idxs := make([]int, 0, len(roots))
+	for i, err := range errs {
+		if err == nil {
+			idxs = append(idxs, i)
 		}
+	}
+	slices.SortStableFunc(idxs, func(a, b int) int { return cmp.Compare(roots[a], roots[b]) })
+	n := 0
+	for j := range idxs {
+		if j == 0 || roots[idxs[j]] != roots[idxs[j-1]] {
+			n++
+		}
+	}
+	groups := make([]batchGroup, 0, n)
+	for lo, j := 0, 1; j <= len(idxs); j++ {
+		if j == len(idxs) || roots[idxs[j]] != roots[idxs[lo]] {
+			groups = append(groups, batchGroup{root: roots[idxs[lo]], idxs: idxs[lo:j:j]})
+			lo = j
+		}
+	}
+	return groups
+}
+
+// runGroups runs fn over every group on the fan-out pool and folds the
+// group traces into tr under the pipelined cost model: counts sum, latency
+// charges the slowest group. Each group writes only its own positions of
+// the caller's per-key result slice, so groups need no lock at any worker
+// count.
+func (d *DHT) runGroups(tr *simnet.Trace, groups []batchGroup, fn func(g *batchGroup)) {
+	_ = parallel.ForEach(d.fanout, groups, func(i int, _ batchGroup) error {
+		fn(&groups[i])
+		return nil
+	})
+	var maxLat time.Duration
+	for i := range groups {
+		g := &groups[i].tr
+		tr.Hops += g.Hops
+		tr.Messages += g.Messages
+		tr.Bytes += g.Bytes
+		maxLat = max(maxLat, g.Latency)
 	}
 	tr.Latency += maxLat
 }
@@ -286,44 +307,31 @@ func (d *DHT) PutBatch(origin string, keys []string, values [][]byte) ([]error, 
 	if !known {
 		return nil, overlay.OpStats{}, fmt.Errorf("dht: %w: %s", overlay.ErrUnknownOrigin, origin)
 	}
-	roots, errs, rtr := d.batchRoots(simnet.NodeID(origin), keys)
-	tr := &simnet.Trace{}
-	tr.Add(&rtr)
-	groups := groupByRoot(roots, errs)
-	outcomes, _ := parallel.Map(d.fanout, groups, func(_ int, g batchGroup) (groupOutcome, error) {
-		return d.putGroup(simnet.NodeID(origin), g, keys, values), nil
+	roots, errs, tr := d.batchRoots(simnet.NodeID(origin), keys)
+	d.runGroups(&tr, groupByRoot(roots, errs), func(g *batchGroup) {
+		d.putGroup(simnet.NodeID(origin), g, keys, values, errs)
 	})
-	mergeGroupOutcomes(tr, outcomes)
-	for gi, o := range outcomes {
-		if o.err != nil {
-			for _, idx := range groups[gi].idxs {
-				errs[idx] = o.err
-			}
-		}
-	}
-	return errs, stats(tr), nil
+	return errs, stats(&tr), nil
 }
 
 // putGroup writes one root group's keys to the group's replica set: one
 // shared envelope per replica, replicas contacted as concurrent branches
 // (latency charges the slowest). Success and ack-lost semantics mirror
 // Store: one acknowledged replica suffices; with none, a lost ack is
-// surfaced as possibly-applied.
-func (d *DHT) putGroup(origin simnet.NodeID, g batchGroup, keys []string, values [][]byte) groupOutcome {
-	req := storeBatchReq{
-		Keys:   make([]string, len(g.idxs)),
-		Values: make([][]byte, len(g.idxs)),
-	}
+// surfaced as possibly-applied in every one of the group's slots of errs.
+func (d *DHT) putGroup(origin simnet.NodeID, g *batchGroup, keys []string, values [][]byte, errs []error) {
+	req := storeReqPool.Get().(*storeBatchReq)
+	defer req.release()
 	size := batchEnvelopeOverhead
-	for i, idx := range g.idxs {
-		req.Keys[i] = keys[idx]
-		req.Values[i] = values[idx]
+	for _, idx := range g.idxs {
+		req.Keys = append(req.Keys, keys[idx])
+		req.Values = append(req.Values, values[idx])
 		size += len(keys[idx]) + len(values[idx]) + batchItemOverhead
 	}
+	msg := simnet.Message{Kind: kindStoreBatch, Payload: req, Size: size}
 	d.mu.RLock()
 	replicas := d.placementOf(g.root, d.replica)
 	d.mu.RUnlock()
-	out := groupOutcome{}
 	var (
 		stored  int
 		lastErr error
@@ -334,18 +342,12 @@ func (d *DHT) putGroup(origin simnet.NodeID, g batchGroup, keys []string, values
 		d.mu.RLock()
 		rn := d.byID[rid]
 		d.mu.RUnlock()
-		rtr := &simnet.Trace{}
-		_, err := d.net.RPC(rtr, origin, rn.name, simnet.Message{
-			Kind:    kindStoreBatch,
-			Payload: req,
-			Size:    size,
-		})
-		out.tr.Hops += rtr.Hops
-		out.tr.Messages += rtr.Messages
-		out.tr.Bytes += rtr.Bytes
-		if rtr.Latency > maxLat {
-			maxLat = rtr.Latency
-		}
+		// Counts accumulate straight into the group trace; each branch's
+		// latency is taken back out so the group charges only the slowest.
+		before := g.tr.Latency
+		_, err := d.net.RPC(&g.tr, origin, rn.name, msg)
+		maxLat = max(maxLat, g.tr.Latency-before)
+		g.tr.Latency = before
 		if err == nil {
 			stored++
 		} else {
@@ -355,18 +357,22 @@ func (d *DHT) putGroup(origin simnet.NodeID, g batchGroup, keys []string, values
 			}
 		}
 	}
-	out.tr.Latency = maxLat
-	if stored == 0 {
-		switch {
-		case ackLost != nil:
-			out.err = fmt.Errorf("dht: batch store unacked, may have been applied: %w", ackLost)
-		case lastErr != nil:
-			out.err = fmt.Errorf("%w: %w", overlay.ErrUnavailable, lastErr)
-		default:
-			out.err = overlay.ErrUnavailable
-		}
+	g.tr.Latency += maxLat
+	if stored > 0 {
+		return
 	}
-	return out
+	var err error
+	switch {
+	case ackLost != nil:
+		err = fmt.Errorf("dht: batch store unacked, may have been applied: %w", ackLost)
+	case lastErr != nil:
+		err = fmt.Errorf("%w: %w", overlay.ErrUnavailable, lastErr)
+	default:
+		err = overlay.ErrUnavailable
+	}
+	for _, idx := range g.idxs {
+		errs[idx] = err
+	}
 }
 
 // GetBatch implements overlay.BatchKV. Keys sharing a root share one fetch
@@ -384,51 +390,33 @@ func (d *DHT) GetBatch(origin string, keys []string) ([]overlay.BatchResult, ove
 	if !known {
 		return nil, overlay.OpStats{}, fmt.Errorf("dht: %w: %s", overlay.ErrUnknownOrigin, origin)
 	}
+	roots, errs, tr := d.batchRoots(simnet.NodeID(origin), keys)
 	results := make([]overlay.BatchResult, len(keys))
-	roots, errs, rtr := d.batchRoots(simnet.NodeID(origin), keys)
-	tr := &simnet.Trace{}
-	tr.Add(&rtr)
-	groups := groupByRoot(roots, errs)
-	outcomes, _ := parallel.Map(d.fanout, groups, func(_ int, g batchGroup) (groupOutcome, error) {
-		return d.getGroup(simnet.NodeID(origin), g, keys), nil
+	for i, err := range errs {
+		results[i].Err = err
+	}
+	d.runGroups(&tr, groupByRoot(roots, errs), func(g *batchGroup) {
+		d.getGroup(simnet.NodeID(origin), g, keys, results)
 	})
-	mergeGroupOutcomes(tr, outcomes)
-	for i := range keys {
-		if errs[i] != nil {
-			results[i].Err = errs[i]
-		}
-	}
-	for _, o := range outcomes {
-		for idx, v := range o.vals {
-			results[idx].Value = v
-		}
-		for idx, err := range o.errs {
-			results[idx].Err = err
-		}
-	}
-	return results, stats(tr), nil
+	return results, stats(&tr), nil
 }
 
-// getGroup reads one root group's keys: replicas in ring order, one shared
-// envelope per probe carrying only the still-unresolved keys. Within the
-// group the probe chain is serial (each fallback needs the previous reply),
-// so latency sums across probes; delivery failures and misses stay pinned
-// to the keys that experienced them.
-func (d *DHT) getGroup(origin simnet.NodeID, g batchGroup, keys []string) groupOutcome {
+// getGroup reads one root group's keys into their slots of results:
+// replicas in ring order, one shared envelope per probe carrying only the
+// still-unresolved keys. Within the group the probe chain is serial (each
+// fallback needs the previous reply), so latency sums across probes;
+// delivery failures and misses stay pinned to the keys that experienced
+// them. The group's idxs are consumed as the pending list.
+func (d *DHT) getGroup(origin simnet.NodeID, g *batchGroup, keys []string, results []overlay.BatchResult) {
 	d.mu.RLock()
 	replicas := d.successorsOf(g.root, d.replica)
 	d.mu.RUnlock()
-	out := groupOutcome{
-		errs: make(map[int]error, len(g.idxs)),
-		vals: make(map[int][]byte, len(g.idxs)),
-	}
-	pending := append([]int(nil), g.idxs...)
-	lastErr := make(map[int]error, len(g.idxs))
+	pending := g.idxs
 	for _, idx := range pending {
-		lastErr[idx] = overlay.ErrUnavailable
+		results[idx].Err = overlay.ErrUnavailable
 	}
-	reqKeys := borrowKeyList()
-	defer returnKeyList(reqKeys)
+	req := fetchReqPool.Get().(*fetchBatchReq)
+	defer req.release()
 	for _, rid := range replicas {
 		if len(pending) == 0 {
 			break
@@ -436,50 +424,38 @@ func (d *DHT) getGroup(origin simnet.NodeID, g batchGroup, keys []string) groupO
 		d.mu.RLock()
 		rn := d.byID[rid]
 		d.mu.RUnlock()
-		*reqKeys = (*reqKeys)[:0]
+		req.Keys = req.Keys[:0]
 		size := batchEnvelopeOverhead
 		for _, idx := range pending {
-			*reqKeys = append(*reqKeys, keys[idx])
+			req.Keys = append(req.Keys, keys[idx])
 			size += len(keys[idx]) + batchItemOverhead
 		}
-		rtr := &simnet.Trace{}
-		reply, err := d.net.RPC(rtr, origin, rn.name, simnet.Message{
+		reply, err := d.net.RPC(&g.tr, origin, rn.name, simnet.Message{
 			Kind:    kindFetchBatch,
-			Payload: fetchBatchReq{Keys: *reqKeys},
+			Payload: req,
 			Size:    size,
 		})
-		out.tr.Hops += rtr.Hops
-		out.tr.Messages += rtr.Messages
-		out.tr.Bytes += rtr.Bytes
-		out.tr.Latency += rtr.Latency
+		resp, ok := reply.Payload.(fetchBatchResp)
+		if err == nil && (!ok || len(resp.Found) != len(pending) || len(resp.Values) != len(pending)) {
+			err = errors.New("dht: bad fetch_batch reply")
+		}
 		if err != nil {
 			// The whole envelope failed to this replica: every pending key
 			// records the fault and rides to the next replica.
 			for _, idx := range pending {
-				lastErr[idx] = err
-			}
-			continue
-		}
-		resp, ok := reply.Payload.(fetchBatchResp)
-		if !ok || len(resp.Found) != len(pending) || len(resp.Values) != len(pending) {
-			for _, idx := range pending {
-				lastErr[idx] = fmt.Errorf("dht: bad fetch_batch reply")
+				results[idx].Err = err
 			}
 			continue
 		}
 		next := pending[:0]
 		for j, idx := range pending {
 			if resp.Found[j] {
-				out.vals[idx] = resp.Values[j]
+				results[idx] = overlay.BatchResult{Value: resp.Values[j]}
 			} else {
-				lastErr[idx] = overlay.ErrNotFound
+				results[idx].Err = overlay.ErrNotFound
 				next = append(next, idx)
 			}
 		}
 		pending = next
 	}
-	for _, idx := range pending {
-		out.errs[idx] = lastErr[idx]
-	}
-	return out
 }

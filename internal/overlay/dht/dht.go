@@ -308,14 +308,14 @@ func (d *DHT) handlerFor(n *node) simnet.HandlerFunc {
 			return handleDigestBatch(n, req)
 
 		case kindStoreBatch:
-			req, ok := msg.Payload.(storeBatchReq)
+			req, ok := msg.Payload.(*storeBatchReq)
 			if !ok {
 				return simnet.Message{}, fmt.Errorf("dht: bad payload for %s", msg.Kind)
 			}
 			return handleStoreBatch(n, req)
 
 		case kindFetchBatch:
-			req, ok := msg.Payload.(fetchBatchReq)
+			req, ok := msg.Payload.(*fetchBatchReq)
 			if !ok {
 				return simnet.Message{}, fmt.Errorf("dht: bad payload for %s", msg.Kind)
 			}

@@ -78,7 +78,7 @@ func (d *DHT) FetchBatchFrom(origin string, keys []string, replica string) ([]ov
 	}
 	reply, err := d.net.RPC(tr, simnet.NodeID(origin), rn.name, simnet.Message{
 		Kind:    kindFetchBatch,
-		Payload: fetchBatchReq{Keys: keys},
+		Payload: &fetchBatchReq{Keys: keys},
 		Size:    size,
 	})
 	if err != nil {
@@ -119,7 +119,7 @@ func (d *DHT) StoreBatchTo(origin string, keys []string, values [][]byte, replic
 	}
 	_, err := d.net.RPC(tr, simnet.NodeID(origin), rn.name, simnet.Message{
 		Kind:    kindStoreBatch,
-		Payload: storeBatchReq{Keys: keys, Values: values},
+		Payload: &storeBatchReq{Keys: keys, Values: values},
 		Size:    size,
 	})
 	if err != nil {

@@ -278,7 +278,7 @@ func (d *DHT) HealSpan(sp *telemetry.Span) (overlay.HealReport, error) {
 		psp.Tag("keys", fmt.Sprintf("%d", len(pushes)))
 		_, err := d.net.RPC(ptr, pk.src, pk.dst, simnet.Message{
 			Kind:    kindStoreBatch,
-			Payload: req,
+			Payload: &req,
 			Size:    size,
 		})
 		tr.Add(ptr)

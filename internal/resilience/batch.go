@@ -105,28 +105,23 @@ func (k *KV) GetBatch(origin string, keys []string) ([]overlay.BatchResult, over
 		return nil, total, err
 	}
 	results := make([]overlay.BatchResult, len(keys))
-	// Collapse duplicates: one resolution per distinct key, fanned back to
-	// every position that asked for it.
-	slots := make(map[string][]int, len(keys))
+	// Collapse duplicates: one resolution per distinct key, written to the
+	// key's first position and copied to its repeats at the end.
+	first := make(map[string]int, len(keys))
 	uniq := make([]string, 0, len(keys))
 	for i, key := range keys {
-		if _, seen := slots[key]; !seen {
+		if _, seen := first[key]; !seen {
+			first[key] = i
 			uniq = append(uniq, key)
-		}
-		slots[key] = append(slots[key], i)
-	}
-	assign := func(key string, r overlay.BatchResult) {
-		for _, i := range slots[key] {
-			results[i] = r
 		}
 	}
 	// Cache pass: keys the verified-value cache holds cost nothing.
-	need := uniq[:0:0]
+	need := uniq[:0]
 	for _, key := range uniq {
 		if v, ok := k.values.Get(key); ok {
 			// The cache owns its backing array; hand out one private copy
 			// shared by this key's slots.
-			assign(key, overlay.BatchResult{Value: append([]byte(nil), v...)})
+			results[first[key]] = overlay.BatchResult{Value: append([]byte(nil), v...)}
 			continue
 		}
 		need = append(need, key)
@@ -148,11 +143,13 @@ func (k *KV) GetBatch(origin string, keys []string) ([]overlay.BatchResult, over
 			}
 			switch {
 			case r.Err == nil:
-				k.values.Put(key, append([]byte(nil), r.Value...))
-				assign(key, r)
+				if k.values != nil { // copy only for a live cache
+					k.values.Put(key, append([]byte(nil), r.Value...))
+				}
+				results[first[key]] = r
 			case errors.Is(r.Err, overlay.ErrNotFound):
 				// Every replica in the group answered: a definitive miss.
-				assign(key, r)
+				results[first[key]] = r
 			default:
 				fallback = append(fallback, key)
 			}
@@ -165,11 +162,18 @@ func (k *KV) GetBatch(origin string, keys []string) ([]overlay.BatchResult, over
 	for _, key := range fallback {
 		v, err := k.lookupRetry(nil, origin, key, &total)
 		if err != nil {
-			assign(key, overlay.BatchResult{Err: err})
+			results[first[key]] = overlay.BatchResult{Err: err}
 			continue
 		}
-		k.values.Put(key, append([]byte(nil), v...))
-		assign(key, overlay.BatchResult{Value: v})
+		if k.values != nil {
+			k.values.Put(key, append([]byte(nil), v...))
+		}
+		results[first[key]] = overlay.BatchResult{Value: v}
+	}
+	if len(first) < len(keys) {
+		for i, key := range keys {
+			results[i] = results[first[key]]
+		}
 	}
 	rescued := len(fallback)
 	if k.batch == nil {

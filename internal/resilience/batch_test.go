@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"godosn/internal/cache"
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/dht"
 	"godosn/internal/overlay/simnet"
@@ -232,5 +234,98 @@ func TestBatchOverPlainKV(t *testing.T) {
 	m := kv.Metrics()
 	if m.Batches != 2 || m.BatchFallbacks != 0 {
 		t.Fatalf("batch accounting %+v, want 2 batches with zero rescues", m)
+	}
+}
+
+// batchSpy counts the keys each inner GetBatch carries.
+type batchSpy struct {
+	*dht.DHT
+	seen map[string]int
+}
+
+func (s *batchSpy) GetBatch(origin string, keys []string) ([]overlay.BatchResult, overlay.OpStats, error) {
+	for _, key := range keys {
+		s.seen[key]++
+	}
+	return s.DHT.GetBatch(origin, keys)
+}
+
+// A batch that repeats keys resolves each distinct key once — a clean read,
+// a verify-rejected read rescued per key, a miss, and a value-cache hit —
+// and hands every repeat its first occurrence's result, for one admission
+// charge. The overlay fans groups out on 8 workers, so -race also checks
+// the positional result writes.
+func TestBatchDuplicateKeysResolveOnce(t *testing.T) {
+	names := make([]simnet.NodeID, 24)
+	for i := range names {
+		names[i] = simnet.NodeID(fmt.Sprintf("node-%d", i))
+	}
+	d, err := dht.New(simnet.New(simnet.Config{Seed: 61}), names, dht.Config{ReplicationFactor: 3, FanoutWorkers: 8})
+	if err != nil {
+		t.Fatalf("dht.New: %v", err)
+	}
+	spy := &batchSpy{DHT: d, seen: map[string]int{}}
+	cfg := DefaultConfig(61)
+	cfg.Cache = cache.Config{Capacity: 16, Seed: 61}
+	cfg.Admission = load.GateConfig{PerTick: 1, QueueDepth: 0}
+	rejected := 0
+	cfg.Verify = func(key string, value []byte) error {
+		if key == "bad" && rejected == 0 {
+			rejected++
+			return errors.New("first read of bad is rejected")
+		}
+		return nil
+	}
+	kv := Wrap(spy, cfg)
+	origin := string(names[0])
+	stored := [][]byte{[]byte("v-clean"), []byte("v-bad"), []byte("v-hit")}
+	if _, _, err := kv.PutBatch(origin, []string{"clean", "bad", "hit"}, stored); err != nil {
+		t.Fatalf("PutBatch: %v", err)
+	}
+	kv.Tick()
+	if _, _, err := kv.GetBatch(origin, []string{"hit"}); err != nil {
+		t.Fatalf("warming GetBatch: %v", err)
+	}
+	kv.Tick()
+	clear(spy.seen)
+	before := kv.Metrics()
+
+	keys := []string{"clean", "bad", "missing", "hit", "clean", "hit", "bad", "missing", "clean"}
+	results, _, err := kv.GetBatch(origin, keys)
+	if err != nil {
+		t.Fatalf("GetBatch: %v", err)
+	}
+	want := map[string]string{"clean": "v-clean", "bad": "v-bad", "hit": "v-hit"}
+	first := map[string]int{}
+	for i, key := range keys {
+		r := results[i]
+		if j, ok := first[key]; ok {
+			if !bytes.Equal(r.Value, results[j].Value) || r.Err != results[j].Err {
+				t.Errorf("key %s at %d = %+v, want its first occurrence's %+v", key, i, r, results[j])
+			}
+			continue
+		}
+		first[key] = i
+		if key == "missing" {
+			if !errors.Is(r.Err, overlay.ErrNotFound) {
+				t.Errorf("missing key: %+v, want ErrNotFound", r)
+			}
+		} else if r.Err != nil || string(r.Value) != want[key] {
+			t.Errorf("key %s = %+v, want %q", key, r, want[key])
+		}
+	}
+	if wantSeen := map[string]int{"clean": 1, "bad": 1, "missing": 1}; !reflect.DeepEqual(spy.seen, wantSeen) {
+		t.Errorf("overlay batch saw %v, want each uncached distinct key once: %v", spy.seen, wantSeen)
+	}
+	m := kv.Metrics()
+	if got := m.BatchFallbacks - before.BatchFallbacks; got != 1 {
+		t.Errorf("%d rescues, want 1 (the rejected key, once)", got)
+	}
+	if rejected != 1 {
+		t.Fatalf("verify rejected %d reads; fixture proves nothing", rejected)
+	}
+	// One admission token covered the whole batch: the next one is shed.
+	if _, _, err := kv.GetBatch(origin, []string{"clean"}); !errors.Is(err, load.ErrShed) {
+		t.Fatalf("second GetBatch in the tick: %v, want a client shed", err)
 	}
 }

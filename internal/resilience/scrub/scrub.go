@@ -512,7 +512,7 @@ func (s *Scrubber) digestPhase(sp *telemetry.Span, nonce uint64, groups []group,
 		return nil
 	}
 	idx := make(map[string][]int) // replica -> participating group indices
-	var order []string           // first-appearance replica order
+	var order []string            // first-appearance replica order
 	for gi := range groups {
 		if len(groups[gi].replicas) < 2 {
 			continue

@@ -312,7 +312,11 @@ func (r *Registry) Snapshot() Snapshot {
 
 // WriteText renders the snapshot as a plain-text /metrics-style dump:
 // one `name value` line per counter and gauge, and per-histogram lines for
-// count, sum, max and each bucket. Deterministic: sorted name order.
+// count, sum, max and each bucket. Histogram series follow the Prometheus
+// text format: every series of one histogram carries the same unit label,
+// bucket counts are cumulative (each `le` line counts every observation at
+// or below its bound), and the `+Inf` bucket equals `_count`.
+// Deterministic: sorted name order.
 func (s Snapshot) WriteText(w io.Writer) {
 	for _, c := range s.Counters {
 		fmt.Fprintf(w, "%s %d\n", c.Name, c.Value)
@@ -321,13 +325,15 @@ func (s Snapshot) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "%s %g\n", g.Name, g.Value)
 	}
 	for _, h := range s.Histograms {
-		fmt.Fprintf(w, "%s_count %d\n", h.Name, h.Count)
+		fmt.Fprintf(w, "%s_count{unit=%q} %d\n", h.Name, h.Unit, h.Count)
 		fmt.Fprintf(w, "%s_sum{unit=%q} %.3f\n", h.Name, h.Unit, h.Sum)
 		fmt.Fprintf(w, "%s_max{unit=%q} %.3f\n", h.Name, h.Unit, h.Max)
+		var cum int64
 		for _, b := range h.Buckets {
-			fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.Name, fmt.Sprintf("%g", b.LE), b.Count)
+			cum += b.Count
+			fmt.Fprintf(w, "%s_bucket{unit=%q,le=\"%g\"} %d\n", h.Name, h.Unit, b.LE, cum)
 		}
-		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", h.Name, h.Overflow)
+		fmt.Fprintf(w, "%s_bucket{unit=%q,le=\"+Inf\"} %d\n", h.Name, h.Unit, cum+h.Overflow)
 	}
 	for _, e := range s.Events {
 		fmt.Fprintf(w, "event_%s_total %d\n", e.Name, e.Count)

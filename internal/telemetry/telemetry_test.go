@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -100,6 +101,63 @@ func TestWriteTextDeterministic(t *testing.T) {
 	}
 	if a, b := build(), build(); a != b {
 		t.Fatalf("WriteText not deterministic:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// The histogram text must read correctly in a Prometheus-compatible
+// parser: cumulative buckets, +Inf equal to _count, and one label set
+// (plus le on buckets) across every series of a histogram.
+func TestWriteTextHistogramGolden(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat_ms", "ms", []float64{1, 10})
+	for _, v := range []float64{0.5, 5, 5, 50} {
+		h.Observe(v)
+	}
+	r.Histogram("idle_ms", "ms", []float64{1})
+	var buf bytes.Buffer
+	r.WriteText(&buf)
+	const want = `idle_ms_count{unit="ms"} 0
+idle_ms_sum{unit="ms"} 0.000
+idle_ms_max{unit="ms"} 0.000
+idle_ms_bucket{unit="ms",le="1"} 0
+idle_ms_bucket{unit="ms",le="+Inf"} 0
+lat_ms_count{unit="ms"} 4
+lat_ms_sum{unit="ms"} 60.500
+lat_ms_max{unit="ms"} 50.000
+lat_ms_bucket{unit="ms",le="1"} 1
+lat_ms_bucket{unit="ms",le="10"} 3
+lat_ms_bucket{unit="ms",le="+Inf"} 4
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteText:\n%s\nwant\n%s", got, want)
+	}
+
+	// The invariants, checked over the parsed lines rather than the literal.
+	counts := map[string]int64{}
+	last := map[string]int64{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		series, rest, _ := strings.Cut(line, "{")
+		labels, value, _ := strings.Cut(rest, "}")
+		var v float64
+		if _, err := fmt.Sscan(value, &v); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		name, kind, _ := strings.Cut(series, "_ms_")
+		if !strings.HasPrefix(labels, `unit="ms"`) {
+			t.Errorf("%q: label set differs from the histogram's", line)
+		}
+		switch kind {
+		case "count":
+			counts[name] = int64(v)
+		case "bucket":
+			if int64(v) < last[name] {
+				t.Errorf("%q: bucket count falls below the previous bucket (not cumulative)", line)
+			}
+			last[name] = int64(v)
+			if strings.HasSuffix(labels, `le="+Inf"`) && int64(v) != counts[name] {
+				t.Errorf("%q: +Inf bucket %d != _count %d", line, int64(v), counts[name])
+			}
+		}
 	}
 }
 
