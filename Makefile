@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet test race bench bench-quick bench-hot bench-scrub experiments experiments-quick json-smoke telemetry-smoke lint-fmt lint-print lint-wallclock chaos-soak cache-smoke overload-soak scale-smoke scenario-smoke window-smoke sweep-smoke examples clean
+.PHONY: all ci build vet test race bench bench-quick bench-hot bench-scrub experiments experiments-quick json-smoke telemetry-smoke lint-fmt lint-print lint-wallclock chaos-soak cache-smoke overload-soak scale-smoke scenario-smoke window-smoke sweep-smoke perfbench-build examples clean
 
 all: build vet test
 
@@ -31,9 +31,15 @@ all: build vet test
 # sweep smoke (the continuous scrub scheduler's budget, starvation,
 # priority, cursor-resume, and determinism tests plus E26's batched
 # anti-entropy invariants — >= 3x fewer maintenance messages per key than
-# the per-key baseline with byte-identical reports at workers 1 vs 8), and
-# a gofmt gate.
-ci: build vet test race json-smoke telemetry-smoke lint-fmt lint-print lint-wallclock chaos-soak cache-smoke overload-soak scale-smoke scenario-smoke window-smoke sweep-smoke
+# the per-key baseline with byte-identical reports at workers 1 vs 8), a
+# gofmt gate, and a compile-and-vet of the benchmark harness.
+ci: build vet test race json-smoke telemetry-smoke lint-fmt lint-print lint-wallclock chaos-soak cache-smoke overload-soak scale-smoke scenario-smoke window-smoke sweep-smoke perfbench-build
+
+# The benchmark harness (perfbench/) is its own module, so go build ./...
+# never compiles it: vet it against the current tree so an internal API
+# change that breaks the harness fails here, not in the benchmark run.
+perfbench-build:
+	cd perfbench && $(GO) vet ./...
 
 # Run the instrumented experiment (E20) with -json and re-parse the report
 # with the strict validator (unknown fields rejected): the telemetry section

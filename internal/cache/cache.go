@@ -48,19 +48,6 @@ type Config struct {
 	// caches with different seeds spread the same keys differently while
 	// each remains reproducible run to run.
 	Seed int64
-	// TTLTicks bounds entry age on the cache's logical clock: an entry
-	// written (or refreshed) at tick T is swept by the first Tick() call
-	// that advances the clock to T + TTLTicks or beyond. No wall clock is
-	// consulted — time only passes when the owner calls Tick(), so expiry
-	// is as deterministic as the tick schedule. 0 disables expiry.
-	TTLTicks int
-	// Budget, when non-nil, enrols this cache in a shared byte budget
-	// (NewBudget): entry sizes are charged against the shared limit and
-	// overflow evicts the globally least-recently-touched entry across
-	// every enrolled cache, regardless of which instance it lives in. Entry
-	// sizes come from SetSizer (default: key length plus a small fixed
-	// overhead). Capacity still applies per instance.
-	Budget *Budget
 }
 
 // Enabled reports whether this configuration describes a live cache.
@@ -83,9 +70,6 @@ type Stats struct {
 	// Coalesced counts Do calls that piggy-backed on another caller's
 	// in-flight fill instead of issuing their own.
 	Coalesced int64
-	// Expirations counts entries swept by the TTL clock (Config.TTLTicks)
-	// and entries reclaimed by shared-budget pressure (Config.Budget).
-	Expirations int64
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 with no traffic.
@@ -127,9 +111,6 @@ type entry[V any] struct {
 	key        string
 	val        V
 	gen        uint64
-	born       int64  // logical tick of last write (TTL expiry)
-	seq        uint64 // shared-budget recency stamp of last touch
-	size       int    // bytes charged against the shared budget
 	prev, next *entry[V]
 }
 
@@ -140,11 +121,6 @@ type shard[V any] struct {
 	// head is most-recently used, tail least-recently used.
 	head, tail *entry[V]
 	cap        int
-	// onRemove observes every entry leaving the shard, whatever the cause
-	// (eviction, invalidation, expiry, budget reclaim) — the single point
-	// where a shared budget is credited back. Called with the shard lock
-	// held; nil without a budget.
-	onRemove func(*entry[V])
 }
 
 // call is one in-flight fill, shared by coalesced waiters.
@@ -162,17 +138,11 @@ type Cache[V any] struct {
 	seed   uint64
 	gen    atomic.Uint64
 
-	ttl    int          // Config.TTLTicks; 0 = no expiry
-	clock  atomic.Int64 // logical time, advanced by Tick
-	budget *Budget      // shared byte budget; nil = uncharged
-	sizer  atomic.Value // func(key string, val V) int
-
 	hits          atomic.Int64
 	misses        atomic.Int64
 	evictions     atomic.Int64
 	invalidations atomic.Int64
 	coalesced     atomic.Int64
-	expirations   atomic.Int64
 
 	flightMu sync.Mutex
 	flight   map[string]*call[V]
@@ -185,7 +155,7 @@ type Cache[V any] struct {
 
 // cacheTelemetry holds resolved registry counters mirroring Stats.
 type cacheTelemetry struct {
-	hits, misses, evictions, invalidations, coalesced, expirations *telemetry.Counter
+	hits, misses, evictions, invalidations, coalesced *telemetry.Counter
 }
 
 // New creates a cache, or returns nil (a valid, disabled cache) when the
@@ -203,11 +173,8 @@ func New[V any](cfg Config) *Cache[V] {
 	c := &Cache[V]{
 		shards: make([]*shard[V], cfg.Shards),
 		seed:   uint64(cfg.Seed),
-		ttl:    cfg.TTLTicks,
-		budget: cfg.Budget,
 		flight: make(map[string]*call[V]),
 	}
-	c.sizer.Store(func(key string, _ V) int { return len(key) + defaultEntryOverhead })
 	per := cfg.Capacity / cfg.Shards
 	extra := cfg.Capacity % cfg.Shards
 	for i := range c.shards {
@@ -215,65 +182,9 @@ func New[V any](cfg Config) *Cache[V] {
 		if i < extra {
 			capi++
 		}
-		s := &shard[V]{entries: make(map[string]*entry[V], capi), cap: capi}
-		if c.budget != nil {
-			s.onRemove = func(e *entry[V]) { c.budget.credit(e.size) }
-		}
-		c.shards[i] = s
-	}
-	if c.budget != nil {
-		c.budget.register(c)
+		c.shards[i] = &shard[V]{entries: make(map[string]*entry[V], capi), cap: capi}
 	}
 	return c
-}
-
-// defaultEntryOverhead approximates the per-entry bookkeeping bytes charged
-// when no SetSizer hook refines the estimate.
-const defaultEntryOverhead = 48
-
-// SetSizer installs the byte-size estimator used to charge entries against
-// a shared budget (Config.Budget): fn(key, val) returns the bytes one entry
-// costs. Only entries written after the call use the new estimator.
-// Nil-safe; a nil fn restores the default.
-func (c *Cache[V]) SetSizer(fn func(key string, val V) int) {
-	if c == nil {
-		return
-	}
-	if fn == nil {
-		fn = func(key string, _ V) int { return len(key) + defaultEntryOverhead }
-	}
-	c.sizer.Store(fn)
-}
-
-// Tick advances the cache's logical clock one step and sweeps every entry
-// whose age reached Config.TTLTicks. Sweep order walks shards in index
-// order and each shard's LRU list oldest-first, so the set and order of
-// expiries is a pure function of the operation history — no wall clock.
-// Nil-safe, and a no-op without a TTL.
-func (c *Cache[V]) Tick() {
-	if c == nil {
-		return
-	}
-	now := c.clock.Add(1)
-	if c.ttl <= 0 {
-		return
-	}
-	for _, s := range c.shards {
-		s.mu.Lock()
-		var expired []string
-		for e := s.tail; e != nil; {
-			prev := e.prev
-			if now-e.born >= int64(c.ttl) {
-				s.remove(e)
-				expired = append(expired, e.key)
-			}
-			e = prev
-		}
-		s.mu.Unlock()
-		for range expired {
-			c.count(&c.expirations, func(t *cacheTelemetry) *telemetry.Counter { return t.expirations })
-		}
-	}
 }
 
 // SetTelemetry mirrors the cache's counters into reg under the given metric
@@ -293,7 +204,6 @@ func (c *Cache[V]) SetTelemetry(reg *telemetry.Registry, prefix string) {
 		evictions:     reg.Counter(prefix + "_evictions_total"),
 		invalidations: reg.Counter(prefix + "_invalidations_total"),
 		coalesced:     reg.Counter(prefix + "_coalesced_total"),
-		expirations:   reg.Counter(prefix + "_expirations_total"),
 	})
 }
 
@@ -328,7 +238,6 @@ func (c *Cache[V]) Stats() Stats {
 		Evictions:     c.evictions.Load(),
 		Invalidations: c.invalidations.Load(),
 		Coalesced:     c.coalesced.Load(),
-		Expirations:   c.expirations.Load(),
 	}
 }
 
@@ -384,9 +293,6 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 		return zero, false
 	}
 	s.moveToFront(e)
-	if c.budget != nil {
-		e.seq = c.budget.nextSeq() // touch: this entry is now globally newest
-	}
 	v := e.val
 	s.mu.Unlock()
 	c.count(&c.hits, func(t *cacheTelemetry) *telemetry.Counter { return t.hits })
@@ -422,19 +328,9 @@ func (c *Cache[V]) putGen(key string, val V, gen uint64) {
 		s.mu.Unlock()
 		return
 	}
-	size := 0
-	if c.budget != nil {
-		size = c.sizer.Load().(func(string, V) int)(key, val)
-	}
 	if e, ok := s.entries[key]; ok {
-		if c.budget != nil {
-			c.budget.charge(size - e.size)
-			e.size = size
-			e.seq = c.budget.nextSeq()
-		}
 		e.val = val
 		e.gen = gen
-		e.born = c.clock.Load()
 		s.moveToFront(e)
 	} else {
 		// A full shard evicts its least-recently-used entry first and
@@ -446,11 +342,7 @@ func (c *Cache[V]) putGen(key string, val V, gen uint64) {
 			s.remove(e)
 			evicted, evict = e.key, true
 		}
-		*e = entry[V]{key: key, val: val, gen: gen, born: c.clock.Load(), size: size}
-		if c.budget != nil {
-			c.budget.charge(size) // onRemove credits it back on any exit
-			e.seq = c.budget.nextSeq()
-		}
+		*e = entry[V]{key: key, val: val, gen: gen}
 		s.entries[key] = e
 		s.pushFront(e)
 	}
@@ -463,9 +355,6 @@ func (c *Cache[V]) putGen(key string, val V, gen uint64) {
 		if fn != nil {
 			fn(evicted)
 		}
-	}
-	if c.budget != nil {
-		c.budget.reclaim()
 	}
 }
 
@@ -573,9 +462,6 @@ func (s *shard[V]) pushFront(e *entry[V]) {
 }
 
 func (s *shard[V]) remove(e *entry[V]) {
-	if s.onRemove != nil {
-		s.onRemove(e)
-	}
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {

@@ -124,9 +124,6 @@ func New(net *simnet.Network, nodes []simnet.NodeID, cfg Config) (*DHT, error) {
 		routes:     cache.New[uint64](cfg.RouteCache),
 		gates:      newNodeGates(cfg.NodeGate, nodes),
 	}
-	// A memoized route is the key string plus an 8-byte root — the charge
-	// against any shared byte budget (cache.Config.Budget).
-	d.routes.SetSizer(func(key string, _ uint64) int { return len(key) + 8 })
 	for _, name := range nodes {
 		id := hashID(string(name))
 		for {

@@ -90,7 +90,7 @@ type Healer interface {
 
 // Ticker is implemented by every layer that advances per-tick state on the
 // shared experiment tick clock: DHT server-side admission gates, the
-// resilience decorator's client gate / health tracker / cache TTLs, and
+// resilience decorator's client gate and health-ranking decay, and
 // the windowed telemetry collector. A driver (the scenario runtime, a
 // bench loop) advances the simnet clock with TickCapacity and ticks each
 // registered Ticker once per step, so "a tick" means the same instant at

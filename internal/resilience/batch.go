@@ -93,7 +93,7 @@ func (k *KV) PutBatch(origin string, keys []string, values [][]byte) ([]error, o
 // overlay's batch transport and verified key by key. A key whose bytes
 // fail verification — or whose replica group was unreachable — falls back
 // to the single-key hedged lookup, which attributes the fault to the
-// serving replica (breaker, health tracker) and steers the retry
+// serving replica (its health record) and steers the retry
 // elsewhere. A clean miss (every replica answered not-found) is
 // definitive and never retried.
 func (k *KV) GetBatch(origin string, keys []string) ([]overlay.BatchResult, overlay.OpStats, error) {

@@ -8,6 +8,7 @@ import (
 
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/simnet"
+	"godosn/internal/resilience/load"
 )
 
 func TestClassifyCorruption(t *testing.T) {
@@ -42,9 +43,9 @@ func TestClassifyCorruption(t *testing.T) {
 }
 
 func TestBreakerCorruptionTaint(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: 4})
+	b := load.NewHealth(load.TrackerConfig{})
 	// Loss-driven failures open the circuit but never quarantine.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < load.Threshold; i++ {
 		b.Report("lossy", false)
 	}
 	if !b.Open("lossy") {
@@ -54,7 +55,7 @@ func TestBreakerCorruptionTaint(t *testing.T) {
 		t.Fatal("loss-driven open circuit reported quarantined")
 	}
 	// Corruption verdicts taint: open + tainted = quarantined.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < load.Threshold; i++ {
 		b.ReportCorrupt("liar")
 	}
 	if !b.Open("liar") || !b.Quarantined("liar") {
@@ -63,8 +64,8 @@ func TestBreakerCorruptionTaint(t *testing.T) {
 	if got := b.QuarantinedNodes(); len(got) != 1 || got[0] != "liar" {
 		t.Fatalf("QuarantinedNodes = %v", got)
 	}
-	if got := b.OpenNodes(); len(got) != 2 {
-		t.Fatalf("OpenNodes = %v, want both nodes", got)
+	if !b.Open("lossy") || !b.Open("liar") {
+		t.Fatal("open circuits did not stay open side by side")
 	}
 	// A successful probe rehabilitates fully: circuit closed, taint cleared.
 	b.Report("liar", true)

@@ -1,17 +1,23 @@
 package resilience
 
 import (
-	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"godosn/internal/resilience/load"
 )
 
+// The KV's breaker is the circuit view of its load.Health record; these
+// tests pin that view as the resilience layer drives it.
+
 func TestBreakerOpensAtThresholdAndProbes(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: 2})
-	for i := 0; i < 2; i++ {
+	b := load.NewHealth(load.TrackerConfig{})
+	for i := 0; i < load.Threshold-1; i++ {
 		b.Report("n", false)
 		if b.Open("n") {
-			t.Fatalf("circuit open after %d failures, threshold 3", i+1)
+			t.Fatalf("circuit open after %d failures, threshold %d", i+1, load.Threshold)
 		}
 	}
 	b.Report("n", false)
@@ -19,19 +25,20 @@ func TestBreakerOpensAtThresholdAndProbes(t *testing.T) {
 		t.Fatal("circuit not open at threshold")
 	}
 	// Cooldown refusals, then one half-open probe.
-	if b.Allow("n") || b.Allow("n") {
-		t.Fatal("open circuit allowed a call during cooldown")
+	for i := 0; i < load.Cooldown; i++ {
+		if b.Allow("n") {
+			t.Fatalf("open circuit allowed call %d of the cooldown", i+1)
+		}
 	}
 	if !b.Allow("n") {
 		t.Fatal("half-open probe refused after cooldown")
 	}
-	// Failed probe re-opens for another cooldown.
+	// Failed probe re-opens for another full cooldown.
 	b.Report("n", false)
-	if b.Allow("n") {
-		t.Fatal("failed probe did not re-open the circuit")
-	}
-	if b.Allow("n") {
-		t.Fatal("cooldown after failed probe too short")
+	for i := 0; i < load.Cooldown; i++ {
+		if b.Allow("n") {
+			t.Fatalf("cooldown after failed probe ended at call %d", i+1)
+		}
 	}
 	if !b.Allow("n") {
 		t.Fatal("second probe refused")
@@ -46,19 +53,11 @@ func TestBreakerOpensAtThresholdAndProbes(t *testing.T) {
 	}
 }
 
-func TestBreakerDisabled(t *testing.T) {
-	b := NewBreaker(BreakerConfig{})
-	for i := 0; i < 10; i++ {
-		b.Report("n", false)
-	}
-	if !b.Allow("n") || b.Open("n") {
-		t.Fatal("disabled breaker tracked state")
-	}
-}
-
 func TestBreakerIndependentPerNode(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 100})
-	b.Report("down", false)
+	b := load.NewHealth(load.TrackerConfig{})
+	for i := 0; i < load.Threshold; i++ {
+		b.Report("down", false)
+	}
 	if !b.Open("down") {
 		t.Fatal("node not open")
 	}
@@ -67,36 +66,63 @@ func TestBreakerIndependentPerNode(t *testing.T) {
 	}
 }
 
+// TestBreakerConcurrent hammers one health record from eight goroutines —
+// observations of every outcome, replica picks, the placement filter's
+// Quarantined, ticks and snapshots, with the quarantine hook installed —
+// and is run under the race detector by make race. Afterwards every
+// circuit must still close on a success.
 func TestBreakerConcurrent(t *testing.T) {
-	// Exercised with -race in CI: concurrent Allow/Report on overlapping
-	// nodes must be safe and converge to a consistent state.
-	b := NewBreaker(DefaultBreakerConfig())
+	h := load.NewHealth(load.TrackerConfig{Alpha: 0.3, HalfLife: 8})
+	var hooked atomic.Int64
+	h.SetQuarantineHook(func(string) { hooked.Add(1) })
+	names := []string{"n0", "n1", "n2", "n3", "n4"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				node := fmt.Sprintf("n%d", i%5)
-				if b.Allow(node) {
-					b.Report(node, i%3 == 0)
+				node := names[(g+i)%len(names)]
+				h.Observe(node, time.Duration(i%7)*time.Millisecond, load.Outcome(i%4))
+				if ranked, _ := h.Pick(names); len(ranked) == 0 {
+					t.Error("Pick returned no replica")
+					return
+				}
+				h.Quarantined(node)
+				switch i % 50 {
+				case 0:
+					h.Tick()
+				case 25:
+					h.Snapshot()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	for i := 0; i < 5; i++ {
-		node := fmt.Sprintf("n%d", i)
-		b.Report(node, true)
-		if b.Open(node) {
-			t.Fatalf("%s open after success report", node)
+	for _, node := range names {
+		h.Observe(node, time.Millisecond, load.OutcomeOK)
+		if h.Open(node) || h.Quarantined(node) {
+			t.Fatalf("%s still open after a success", node)
 		}
+	}
+	if got := len(h.Snapshot()); got != len(names) {
+		t.Fatalf("snapshot lists %d nodes, want %d", got, len(names))
+	}
+	before := hooked.Load()
+	for i := 0; i < load.Threshold; i++ {
+		h.Observe("n0", time.Millisecond, load.OutcomeCorrupt)
+	}
+	if !h.Quarantined("n0") || hooked.Load() != before+1 {
+		t.Fatalf("corruption streak: quarantined=%v, hook fired %d times, want once",
+			h.Quarantined("n0"), hooked.Load()-before)
 	}
 }
 
 func TestBreakerReset(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 5})
-	b.Report("n", false)
+	b := load.NewHealth(load.TrackerConfig{})
+	for i := 0; i < load.Threshold; i++ {
+		b.Report("n", false)
+	}
 	if !b.Open("n") {
 		t.Fatal("not open")
 	}

@@ -30,8 +30,6 @@ type Config struct {
 	// read fails or misses (0 disables hedged reads). Only effective when
 	// the wrapped overlay implements overlay.ReplicaKV.
 	Hedge int
-	// Breaker configures the per-node health tracker.
-	Breaker BreakerConfig
 	// Seed drives retry jitter deterministically.
 	Seed int64
 	// Verify, when set, is applied to every value read before it is
@@ -60,15 +58,16 @@ type Config struct {
 	// found divergent or condemned via SetInvalidator — a cached value
 	// never outlives a condemnation of its holder group.
 	Cache cachepkg.Config
-	// Health configures the EWMA replica-health tracker (load.Tracker):
-	// every per-replica fetch feeds an observation (latency; served,
-	// errored, or shed), and hedged reads rank their candidates
-	// healthiest-first instead of canonical order — so a flash-crowded or
-	// flaky replica is tried last while its siblings have spare capacity.
-	// When the overlay supports it (overlay.ReplicaRankable) the same
-	// ranking is installed as the overlay's replica-selection hook. The
-	// zero value (Alpha 0) disables ranking entirely, preserving the exact
-	// replica order of an unranked KV.
+	// Health configures the ranking view of the per-node health record
+	// (load.Health), whose circuit view is always on: every per-replica
+	// fetch feeds one observation (latency; served, errored, corrupt, or
+	// shed), and hedged reads rank their candidates healthiest-first
+	// instead of canonical order — so a flash-crowded or flaky replica is
+	// tried last while its siblings have spare capacity. When the overlay
+	// supports it (overlay.ReplicaRankable) the same ranking is installed
+	// as the overlay's replica-selection hook. The zero value (Alpha 0)
+	// disables ranking entirely, preserving the exact replica order of an
+	// unranked KV.
 	Health load.TrackerConfig
 	// Admission configures the client-side token-bucket gate (load.Gate):
 	// operations beyond the per-tick budget are queued (their wait charged
@@ -83,7 +82,7 @@ type Config struct {
 // DefaultConfig hedges across 2 extra replicas with the default retry
 // policy and breaker, and quarantines circuit-open nodes from placement.
 func DefaultConfig(seed int64) Config {
-	return Config{Policy: DefaultPolicy(), Hedge: 2, Breaker: DefaultBreakerConfig(), Seed: seed, Quarantine: true}
+	return Config{Policy: DefaultPolicy(), Hedge: 2, Seed: seed, Quarantine: true}
 }
 
 // Metrics counts what the resilience layer did — the measurable overhead
@@ -139,10 +138,9 @@ type KV struct {
 	repair    overlay.RepairKV  // nil when inner cannot write per-replica
 	spanInner overlay.SpanKV    // nil when inner cannot attribute spans
 	cfg       Config
-	breaker   *Breaker
+	health    *load.Health            // per-node circuit and ranking
 	rng       *rand.Rand              // jitter source; safe via lockedSource
 	values    *cachepkg.Cache[[]byte] // verified-value cache (cache.go); nil = uncached
-	health    *load.Tracker           // replica-health ranking; nil = canonical order
 	gate      *load.Gate              // client-side admission; nil = admit everything
 
 	mu      sync.Mutex
@@ -182,7 +180,6 @@ func (k *KV) SetTelemetry(reg *telemetry.Registry) {
 	defer k.mu.Unlock()
 	if reg == nil {
 		k.tel = nil
-		k.breaker.SetEvents(nil)
 		k.values.SetTelemetry(nil, "resilience_value_cache")
 		k.health.SetTelemetry(nil)
 		k.gate.SetTelemetry(nil)
@@ -206,7 +203,6 @@ func (k *KV) SetTelemetry(reg *telemetry.Registry) {
 		batchFalls:   reg.Counter("resilience_batch_fallbacks_total"),
 		backoff:      reg.Histogram("resilience_backoff_ms", "ms", telemetry.LatencyBuckets()),
 	}
-	k.breaker.SetEvents(reg.Events())
 }
 
 // lockedSource makes the jitter RNG safe for concurrent operations.
@@ -241,17 +237,16 @@ func Wrap(inner overlay.KV, cfg Config) *KV {
 		cfg.Policy = DefaultPolicy()
 	}
 	k := &KV{
-		inner:   inner,
-		cfg:     cfg,
-		breaker: NewBreaker(cfg.Breaker),
-		rng:     rand.New(&lockedSource{src: rand.NewSource(cfg.Seed).(rand.Source64)}),
-		health:  load.NewTracker(cfg.Health),
-		gate:    load.NewGate(cfg.Admission),
+		inner:  inner,
+		cfg:    cfg,
+		health: load.NewHealth(cfg.Health),
+		rng:    rand.New(&lockedSource{src: rand.NewSource(cfg.Seed).(rand.Source64)}),
+		gate:   load.NewGate(cfg.Admission),
 	}
-	if k.health != nil {
+	if cfg.Health.Alpha > 0 {
 		if rr, ok := inner.(overlay.ReplicaRankable); ok {
 			// The overlay's replica selection consults the same health
-			// tracker the hedged reads feed, so fan-out and extension
+			// ranking the hedged reads feed, so fan-out and extension
 			// ordering also prefer lightly-loaded replicas.
 			rr.SetReplicaRanker(k.health.Rank)
 		}
@@ -278,19 +273,16 @@ func Wrap(inner overlay.KV, cfg Config) *KV {
 			// half-open probe rehabilitates it. Only corruption-tainted open
 			// circuits veto placement — loss-driven ones route reads around
 			// a node but never exclude it from holding data.
-			pf.SetPlacementFilter(func(node string) bool { return !k.breaker.Quarantined(node) })
+			pf.SetPlacementFilter(func(node string) bool { return !k.health.Quarantined(node) })
 		}
 	}
 	k.values = cachepkg.New[[]byte](cfg.Cache)
-	// A cached verified value costs its key plus its bytes — the charge
-	// against any shared byte budget (cache.Config.Budget).
-	k.values.SetSizer(func(key string, val []byte) int { return len(key) + len(val) })
 	if k.values != nil || cfg.Quarantine {
 		// A quarantine changes which copies are trustworthy and where new
 		// ones land: cached verified values and memoized routes must not
 		// outlive it.
 		rc, _ := inner.(overlay.RouteCached)
-		k.breaker.SetQuarantineHook(func(string) {
+		k.health.SetQuarantineHook(func(string) {
 			k.values.BumpGeneration()
 			if rc != nil {
 				rc.InvalidateRoutes()
@@ -304,14 +296,12 @@ func Wrap(inner overlay.KV, cfg Config) *KV {
 func (k *KV) Name() string { return k.inner.Name() + "+resilient" }
 
 // Tick advances the decorator's simulated clock one step: the admission
-// gate refills its token budget, the verified-value cache sweeps entries
-// past their TTL, and the replica-health tracker decays idle scores toward
-// baseline (each a no-op when its feature is unconfigured). Experiments
-// drive it from the same loop that ticks simnet fault schedules and
-// capacity windows.
+// gate refills its token budget and the health ranking decays idle scores
+// toward baseline (each a no-op when its feature is unconfigured).
+// Experiments drive it from the same loop that ticks simnet fault schedules
+// and capacity windows.
 func (k *KV) Tick() {
 	k.gate.Tick()
-	k.values.Tick()
 	k.health.Tick()
 }
 
@@ -319,8 +309,8 @@ func (k *KV) Tick() {
 // tick-driven drivers can advance every layer uniformly.
 var _ overlay.Ticker = (*KV)(nil)
 
-// HealthSnapshot returns the replica-health tracker's per-node scores,
-// sorted by node (nil without Config.Health).
+// HealthSnapshot returns the health ranking's per-node scores, sorted by
+// node (nil without Config.Health).
 func (k *KV) HealthSnapshot() []load.NodeScore { return k.health.Snapshot() }
 
 // admitOp applies the client-side admission gate to one network-bound
@@ -361,8 +351,8 @@ func (k *KV) admitOp(sp *telemetry.Span, total *overlay.OpStats) error {
 // Inner returns the wrapped overlay.
 func (k *KV) Inner() overlay.KV { return k.inner }
 
-// Breaker exposes the per-node health tracker.
-func (k *KV) Breaker() *Breaker { return k.breaker }
+// Breaker exposes the per-node health record (circuit and ranking views).
+func (k *KV) Breaker() *load.Health { return k.health }
 
 // Metrics returns a snapshot of the recovery counters.
 func (k *KV) Metrics() Metrics {
@@ -621,10 +611,8 @@ func (k *KV) verifyValue(key string, value []byte) error {
 }
 
 // fetchFrom reads key from one named replica and verifies the bytes,
-// attributing the read to a child span of sp named spanName. The breaker
-// hears exactly one verdict per fetch: reachable-and-honest (a verified
-// value or a clean not-found) is a success; a delivery failure or a corrupt
-// payload is a failure.
+// attributing the read to a child span of sp named spanName. The health
+// record hears exactly one observation per fetch (healthOutcome).
 func (k *KV) fetchFrom(sp *telemetry.Span, spanName, origin, key, name string) ([]byte, overlay.OpStats, error) {
 	fsp := sp.Child(spanName)
 	fsp.Tag("replica", name)
@@ -641,24 +629,7 @@ func (k *KV) fetchFrom(sp *telemetry.Span, spanName, origin, key, name string) (
 			vsp.End("ok")
 		}
 	}
-	switch {
-	case replicaHealthy(err):
-		k.breaker.Report(name, true)
-		k.health.Observe(name, st.Latency, load.OutcomeOK)
-	case Classify(err) == FaultCorruption:
-		k.breaker.ReportCorrupt(name)
-		k.health.Observe(name, st.Latency, load.OutcomeError)
-	case Classify(err) == FaultOverload:
-		// Shed ≠ Byzantine and shed ≠ down: the node refused honestly and
-		// immediately. The breaker hears a plain (untainted) failure — a
-		// persistent shedder is routed around, never quarantined — and the
-		// health tracker hears the stronger shed signal.
-		k.breaker.Report(name, false)
-		k.health.Observe(name, st.Latency, load.OutcomeShed)
-	default:
-		k.breaker.Report(name, false)
-		k.health.Observe(name, st.Latency, load.OutcomeError)
-	}
+	k.health.Observe(name, st.Latency, healthOutcome(err))
 	fsp.End(outcomeOf(err))
 	if err != nil {
 		return nil, st, err
@@ -681,25 +652,12 @@ func (k *KV) hedgedLookup(sp *telemetry.Span, origin, key string, total *overlay
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	allowed := names[:0:0]
-	skips := 0
-	for _, name := range names {
-		if k.breaker.Allow(name) {
-			allowed = append(allowed, name)
-		} else {
-			skips++
-		}
-	}
-	if len(allowed) == 0 {
-		// Everything is presumed down; trying something beats failing
-		// without a message.
-		allowed = names
-	}
-	// Load-aware selection: the healthiest replica serves as primary and
-	// the hedge wave follows in health order, so a flash-crowded node is
-	// tried last while its siblings have spare capacity. A nil tracker
-	// (Config.Health zero) keeps canonical order.
-	allowed = k.health.Rank(allowed)
+	// Open circuits are skipped (unless every replica is open), and the
+	// healthiest replica serves as primary with the hedge wave following in
+	// health order, so a flash-crowded node is tried last while its
+	// siblings have spare capacity. Without Config.Health the order stays
+	// canonical.
+	allowed, skips := k.health.Pick(names)
 
 	// Primary read (verified).
 	v, st, err := k.fetchFrom(sp, "fetch", origin, key, allowed[0])
@@ -801,11 +759,24 @@ func (k *KV) readRepair(sp *telemetry.Span, origin, key string, value []byte, co
 	}
 }
 
-// replicaHealthy interprets a per-replica fetch outcome for the breaker: a
-// replica that answered honestly — even with "not found" — is healthy; a
-// delivery failure or a corrupt payload counts against it.
-func replicaHealthy(err error) bool {
-	return err == nil || errors.Is(err, overlay.ErrNotFound)
+// healthOutcome interprets a per-replica fetch result for the health
+// record: a replica that answered honestly — even with "not found" — is
+// healthy; a corrupt payload taints it; an overload refusal is a shed
+// (shed ≠ Byzantine and shed ≠ down: the node refused honestly and
+// immediately, so it is routed around but never quarantined); anything
+// else is a delivery failure.
+func healthOutcome(err error) load.Outcome {
+	if err == nil || errors.Is(err, overlay.ErrNotFound) {
+		return load.OutcomeOK
+	}
+	switch Classify(err) {
+	case FaultCorruption:
+		return load.OutcomeCorrupt
+	case FaultOverload:
+		return load.OutcomeShed
+	default:
+		return load.OutcomeError
+	}
 }
 
 // Heal runs one anti-entropy repair pass on the wrapped overlay.

@@ -88,7 +88,7 @@ func TestResilientStoreRetriesAckLoss(t *testing.T) {
 
 func TestHedgedReadServesFromSurvivingReplica(t *testing.T) {
 	d, net, names := buildDHT(t, 24, 5, 0, 3)
-	kv := Wrap(d, Config{Policy: DefaultPolicy(), Hedge: 2, Breaker: DefaultBreakerConfig(), Seed: 5})
+	kv := Wrap(d, Config{Policy: DefaultPolicy(), Hedge: 2, Seed: 5})
 	if _, err := kv.Store(string(names[0]), "k", []byte("v")); err != nil {
 		t.Fatalf("Store: %v", err)
 	}
@@ -120,10 +120,9 @@ func TestHedgedReadServesFromSurvivingReplica(t *testing.T) {
 func TestBreakerSkipsNodeObservedDown(t *testing.T) {
 	d, net, names := buildDHT(t, 24, 9, 0, 3)
 	kv := Wrap(d, Config{
-		Policy:  Policy{MaxAttempts: 2, BaseDelay: 0},
-		Hedge:   2,
-		Breaker: BreakerConfig{Threshold: 2, Cooldown: 50},
-		Seed:    9,
+		Policy: Policy{MaxAttempts: 2, BaseDelay: 0},
+		Hedge:  2,
+		Seed:   9,
 	})
 	if _, err := kv.Store(string(names[0]), "k", []byte("v")); err != nil {
 		t.Fatalf("Store: %v", err)

@@ -13,7 +13,6 @@ func TestTrackerIdleDecayCurve(t *testing.T) {
 	const halfLife = 10
 	cfg := TrackerConfig{
 		Alpha:        1, // each observation sets the EWMA exactly
-		BaseLatency:  10 * time.Millisecond,
 		ErrorPenalty: 4,
 		ShedPenalty:  8,
 		HalfLife:     halfLife,
@@ -32,7 +31,7 @@ func TestTrackerIdleDecayCurve(t *testing.T) {
 	}
 	const tol = 1e-9
 	for _, tc := range cases {
-		tr := NewTracker(cfg)
+		tr := NewHealth(cfg)
 		// One shed (sets shedRate to 1) then one error at 50ms (sets
 		// latencyMS to 50 and failRate to 1, clearing shedRate — Alpha 1).
 		// Use two nodes so each signal decays from a clean 1.0.
@@ -63,7 +62,7 @@ func TestTrackerIdleDecayCurve(t *testing.T) {
 // enough idle ticks pass.
 func TestTrackerDecayRehabilitatesRanking(t *testing.T) {
 	cfg := DefaultTrackerConfig()
-	tr := NewTracker(cfg)
+	tr := NewHealth(cfg)
 	for i := 0; i < 20; i++ {
 		tr.Observe("hot", 0, OutcomeShed)
 	}
@@ -76,14 +75,14 @@ func TestTrackerDecayRehabilitatesRanking(t *testing.T) {
 	for i := 0; i < 20*cfg.HalfLife; i++ {
 		tr.Tick()
 	}
-	if got := tr.Score("hot"); got > tr.Score("calm")*1.01 {
-		t.Fatalf("idle node never rehabilitated: hot=%v calm=%v", got, tr.Score("calm"))
+	if got := scoreOf(tr, "hot"); got > scoreOf(tr, "calm")*1.01 {
+		t.Fatalf("idle node never rehabilitated: hot=%v calm=%v", got, scoreOf(tr, "calm"))
 	}
 }
 
-// HalfLife 0 disables decay entirely; nil trackers are safe to tick.
+// HalfLife 0 disables decay entirely; ticking with ranking off is a no-op.
 func TestTrackerNoDecayWithoutHalfLife(t *testing.T) {
-	tr := NewTracker(TrackerConfig{Alpha: 1, BaseLatency: 10 * time.Millisecond})
+	tr := NewHealth(TrackerConfig{Alpha: 1})
 	tr.Observe("n", 0, OutcomeShed)
 	for i := 0; i < 100; i++ {
 		tr.Tick()
@@ -91,6 +90,10 @@ func TestTrackerNoDecayWithoutHalfLife(t *testing.T) {
 	if got := tr.Snapshot()[0].ShedRate; got != 1 {
 		t.Fatalf("ShedRate decayed to %v with HalfLife 0", got)
 	}
-	var nilTr *Tracker
-	nilTr.Tick()
+	off := NewHealth(TrackerConfig{})
+	off.Observe("n", 0, OutcomeShed)
+	off.Tick()
+	if off.Snapshot() != nil {
+		t.Fatalf("ranking-off snapshot is not nil")
+	}
 }

@@ -2,6 +2,7 @@ package load
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -114,7 +115,7 @@ func TestGateTelemetry(t *testing.T) {
 }
 
 func TestTrackerScoresAndRanks(t *testing.T) {
-	tr := NewTracker(DefaultTrackerConfig())
+	tr := NewHealth(DefaultTrackerConfig())
 	// n-fast serves quickly, n-slow is sluggish, n-shedding refuses.
 	for i := 0; i < 8; i++ {
 		tr.Observe("n-fast", 5*time.Millisecond, OutcomeOK)
@@ -126,42 +127,43 @@ func TestTrackerScoresAndRanks(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("rank %v, want %v", got, want)
 	}
-	if s := tr.Score("n-shedding"); s <= tr.Score("n-slow") {
-		t.Fatalf("shedding node score %.2f not worse than slow node %.2f", s, tr.Score("n-slow"))
+	if s := scoreOf(tr, "n-shedding"); s <= scoreOf(tr, "n-slow") {
+		t.Fatalf("shedding node score %.2f not worse than slow node %.2f", s, scoreOf(tr, "n-slow"))
 	}
-	// The unseen node competes at the prior, not at zero.
-	if s := tr.Score("n-unseen"); s != 10 {
-		t.Fatalf("unseen score %.2f, want the 10ms prior", s)
+	// The unseen node competes at the 10ms prior (between fast and slow
+	// above), but is not listed until observed.
+	if s := scoreOf(tr, "n-unseen"); !math.IsNaN(s) {
+		t.Fatalf("unseen node listed with score %.2f", s)
 	}
 }
 
 func TestTrackerErrorsInflateScore(t *testing.T) {
-	tr := NewTracker(DefaultTrackerConfig())
+	tr := NewHealth(DefaultTrackerConfig())
 	for i := 0; i < 8; i++ {
 		tr.Observe("ok", 10*time.Millisecond, OutcomeOK)
 		tr.Observe("flaky", 10*time.Millisecond, OutcomeError)
 	}
-	if so, sf := tr.Score("ok"), tr.Score("flaky"); sf <= so {
+	if so, sf := scoreOf(tr, "ok"), scoreOf(tr, "flaky"); sf <= so {
 		t.Fatalf("flaky score %.2f not worse than healthy %.2f at equal latency", sf, so)
 	}
 }
 
 func TestTrackerRecovers(t *testing.T) {
-	tr := NewTracker(DefaultTrackerConfig())
+	tr := NewHealth(DefaultTrackerConfig())
 	for i := 0; i < 8; i++ {
 		tr.Observe("n", 0, OutcomeShed)
 	}
-	overloaded := tr.Score("n")
+	overloaded := scoreOf(tr, "n")
 	for i := 0; i < 30; i++ {
 		tr.Observe("n", 5*time.Millisecond, OutcomeOK)
 	}
-	if rec := tr.Score("n"); rec >= overloaded/4 {
+	if rec := scoreOf(tr, "n"); rec >= overloaded/4 {
 		t.Fatalf("score %.2f did not recover from %.2f after sustained health", rec, overloaded)
 	}
 }
 
 func TestTrackerRankIsStableAndPure(t *testing.T) {
-	tr := NewTracker(DefaultTrackerConfig())
+	tr := NewHealth(DefaultTrackerConfig())
 	in := []string{"c", "a", "b"}
 	got := tr.Rank(in)
 	// All unseen: equal scores, so input order is preserved...
@@ -181,7 +183,7 @@ func TestTrackerRankIsStableAndPure(t *testing.T) {
 
 func TestTrackerDeterministicAcrossRuns(t *testing.T) {
 	run := func() []NodeScore {
-		tr := NewTracker(DefaultTrackerConfig())
+		tr := NewHealth(DefaultTrackerConfig())
 		for i := 0; i < 50; i++ {
 			tr.Observe("a", time.Duration(i%7)*time.Millisecond, Outcome(i%3))
 			tr.Observe("b", time.Duration(i%11)*time.Millisecond, OutcomeOK)
@@ -193,24 +195,30 @@ func TestTrackerDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// The zero TrackerConfig turns ranking off: observations still drive the
+// circuit view, but ranking is identity and the ranking view reports
+// nothing.
 func TestTrackerNil(t *testing.T) {
-	var tr *Tracker
-	tr.Observe("n", time.Millisecond, OutcomeOK)
-	tr.SetTelemetry(nil)
+	tr := NewHealth(TrackerConfig{})
+	reg := telemetry.NewRegistry()
+	tr.SetTelemetry(reg)
+	tr.Observe("a", time.Millisecond, OutcomeOK)
+	tr.Observe("b", 90*time.Millisecond, OutcomeShed)
 	in := []string{"b", "a"}
 	if got := tr.Rank(in); !reflect.DeepEqual(got, in) {
-		t.Fatalf("nil tracker rank %v, want identity", got)
+		t.Fatalf("unranked rank %v, want identity", got)
 	}
-	if tr.Score("n") != 0 || tr.Snapshot() != nil {
-		t.Fatalf("nil tracker must report zero state")
+	if tr.Snapshot() != nil {
+		t.Fatalf("ranking off must report zero state")
 	}
-	if NewTracker(TrackerConfig{}) != nil {
-		t.Fatalf("zero config must disable the tracker")
+	snap := reg.Snapshot()
+	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 {
+		t.Fatalf("ranking off registered instruments: %+v", snap)
 	}
 }
 
 func TestTrackerTelemetry(t *testing.T) {
-	tr := NewTracker(DefaultTrackerConfig())
+	tr := NewHealth(DefaultTrackerConfig())
 	reg := telemetry.NewRegistry()
 	tr.SetTelemetry(reg)
 	tr.Observe("n1", 20*time.Millisecond, OutcomeOK)
@@ -227,4 +235,15 @@ func TestTrackerTelemetry(t *testing.T) {
 	if !found {
 		t.Fatalf("missing health-score gauge, gauges: %v", snap.Gauges)
 	}
+}
+
+// scoreOf reads a node's score from the ranking snapshot (NaN when the node
+// is not listed).
+func scoreOf(h *Health, node string) float64 {
+	for _, s := range h.Snapshot() {
+		if s.Node == node {
+			return s.Score
+		}
+	}
+	return math.NaN()
 }

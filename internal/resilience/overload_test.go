@@ -244,69 +244,3 @@ func TestHealthRankingSteersAwayFromHotNode(t *testing.T) {
 		t.Fatalf("hot node score %.2f not worse than healthiest sibling %.2f", hotScore, bestSibling)
 	}
 }
-
-func TestBreakerUnquarantine(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 2, Cooldown: 4})
-	hooked := 0
-	b.SetQuarantineHook(func(string) { hooked++ })
-	if b.Unquarantine("n") {
-		t.Fatalf("unquarantining a clean node reported work done")
-	}
-	b.ReportCorrupt("n")
-	b.ReportCorrupt("n")
-	if !b.Quarantined("n") {
-		t.Fatalf("node not quarantined after %d corruption verdicts", 2)
-	}
-	if hooked != 1 {
-		t.Fatalf("quarantine hook fired %d times, want 1", hooked)
-	}
-	if !b.Unquarantine("n") {
-		t.Fatalf("Unquarantine reported no-op on a quarantined node")
-	}
-	if b.Quarantined("n") || b.Open("n") {
-		t.Fatalf("node still quarantined/open after operator override")
-	}
-	if !b.Allow("n") {
-		t.Fatalf("unquarantined node not allowed")
-	}
-	if hooked != 2 {
-		t.Fatalf("hook fired %d times, want 2 (placement changed again)", hooked)
-	}
-	// A fresh corruption streak re-quarantines: the override is not an
-	// immunity grant.
-	b.ReportCorrupt("n")
-	b.ReportCorrupt("n")
-	if !b.Quarantined("n") {
-		t.Fatalf("node not re-quarantined after fresh corruption")
-	}
-}
-
-func TestBreakerMaxQuarantinedCap(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 4, MaxQuarantined: 2})
-	for _, n := range []string{"q0", "q1", "q2", "q3"} {
-		b.ReportCorrupt(n)
-	}
-	// Oldest quarantines keep the exclusion; the mass event cannot starve
-	// placement by excluding all four.
-	want := []string{"q0", "q1"}
-	got := b.QuarantinedNodes()
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("quarantined %v, want oldest two %v", got, want)
-	}
-	for _, n := range []string{"q2", "q3"} {
-		if b.Quarantined(n) {
-			t.Fatalf("%s excluded beyond the cap", n)
-		}
-		if !b.Open(n) {
-			t.Fatalf("%s should stay circuit-open even while placeable", n)
-		}
-	}
-	// Rehabilitating an excluded node promotes the next-oldest into the cap.
-	if !b.Unquarantine("q0") {
-		t.Fatalf("Unquarantine q0 reported no-op")
-	}
-	got = b.QuarantinedNodes()
-	if len(got) != 2 || got[0] != "q1" || got[1] != "q2" {
-		t.Fatalf("after rehabilitation quarantined %v, want [q1 q2]", got)
-	}
-}

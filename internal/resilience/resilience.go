@@ -17,8 +17,9 @@
 //     seeded jitter, charged to the simulated latency so recovery cost
 //     stays measurable;
 //   - a KV decorator (Wrap) adding retries, hedged reads across the
-//     replica set, and a per-node circuit breaker (Breaker) that skips
-//     nodes observed down until a probe succeeds;
+//     replica set, and a per-node health record (load.Health, exposed as
+//     KV.Breaker) whose circuit skips nodes observed down until a probe
+//     succeeds and whose optional ranking tries the healthiest first;
 //   - pass-through to the overlay's anti-entropy self-healing
 //     (overlay.Healer), so repair is driven through the same handle.
 //

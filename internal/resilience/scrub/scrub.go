@@ -214,8 +214,9 @@ func (s *Scrubber) batchData() bool { return s.brepair != nil && !s.cfg.PerKey }
 
 // SetVerdict installs the corruption-verdict sink: ok=false means the node
 // served a condemned copy, ok=true means it served the canonical one. Wire
-// a resilience breaker in (Breaker.ReportCorrupt / Breaker.Report) to
-// quarantine persistent corrupters. Verdicts are applied in deterministic
+// the resilient KV's health record in (KV.Breaker().ReportCorrupt /
+// .Report, verdicts that never move its ranking) to quarantine persistent
+// corrupters. Verdicts are applied in deterministic
 // key order regardless of Workers.
 func (s *Scrubber) SetVerdict(fn func(node string, ok bool)) { s.verdict = fn }
 

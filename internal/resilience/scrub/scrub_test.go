@@ -10,7 +10,7 @@ import (
 
 	"godosn/internal/overlay/dht"
 	"godosn/internal/overlay/simnet"
-	"godosn/internal/resilience"
+	"godosn/internal/resilience/load"
 	"godosn/internal/telemetry"
 )
 
@@ -182,7 +182,7 @@ func TestScrubVerdictsQuarantineByzantineReplica(t *testing.T) {
 	if err := f.net.SetByzantine(simnet.NodeID(liar), simnet.ByzantineConfig{Mode: simnet.ByzBitFlip, Rate: 1}); err != nil {
 		t.Fatalf("SetByzantine: %v", err)
 	}
-	breaker := resilience.NewBreaker(resilience.DefaultBreakerConfig())
+	breaker := load.NewHealth(load.TrackerConfig{})
 	s := New(f.d, DefaultConfig(f.client))
 	s.SetVerdict(func(node string, ok bool) {
 		if ok {
