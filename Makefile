@@ -27,7 +27,7 @@ all: build vet test
 # DeepEqual, calibrated invariants held, expect digest and counters exact),
 # and a window smoke (E25 guilty-window localization plus the windowed
 # replay report and the socket/OTLP sink round-trips) with a wall-clock
-# lint (no time.Now in the deterministic telemetry/scenario layers), and a
+# lint (no time.Now/time.Since in the library outside internal/bench), and a
 # sweep smoke (the continuous scrub scheduler's budget, starvation,
 # priority, cursor-resume, and determinism tests plus E26's batched
 # anti-entropy invariants — >= 3x fewer maintenance messages per key than
@@ -128,14 +128,15 @@ sweep-smoke:
 	$(GO) test -count=1 -run 'TestSweep' ./internal/resilience/scrub/
 	$(GO) run ./cmd/dosnbench -quick -exp e26 >/dev/null
 
-# The windowed series and scenario clocks are tick-driven by contract: a
-# wall-clock read anywhere in those layers would silently break run-twice
-# and workers-1v8 byte-identity. Fails on any new time.Now outside the
-# allowlist (currently empty).
+# The library is tick-driven by contract: a wall-clock read in any layer
+# (telemetry, scenario, scrub and sweeper, health, simnet, DHT, ...) would
+# silently break run-twice and workers-1v8 byte-identity. Fails on any
+# time.Now or time.Since under internal/ outside internal/bench/, the one
+# package that renders wall-clock columns.
 lint-wallclock:
-	@bad=$$(grep -rn 'time\.Now' internal/telemetry/ internal/scenario/ --include='*.go' || true); \
+	@bad=$$(grep -rnE 'time\.(Now|Since)' internal/ --include='*.go' | grep -v '^internal/bench/' || true); \
 	if [ -n "$$bad" ]; then \
-		echo "lint-wallclock: time.Now in deterministic layers (use the tick clock):"; \
+		echo "lint-wallclock: wall-clock read in the deterministic library (use the tick clock):"; \
 		echo "$$bad"; \
 		exit 1; \
 	fi
@@ -166,12 +167,13 @@ bench-quick:
 	$(GO) test -bench=. -benchtime=10x -run='^$$' .
 
 # Hot-path microbenchmarks: per-scheme group Encrypt/Add/Remove (serial vs
-# pool), DHT Put/Get (serial vs fanout), symmetric seal/open alloc deltas,
-# and the sharded cache (hit/miss/coalesced/contended).
+# pool), DHT Put/Get (serial vs fanout) and the multi-group digest RPC,
+# symmetric seal/open alloc deltas, the sharded cache (hit/miss/coalesced/
+# contended), sealed-record verification, and the Merkle hash primitives.
 bench-hot:
 	$(GO) test -bench=. -benchmem -run='^$$' \
 		./internal/social/privacy/ ./internal/overlay/dht/ ./internal/crypto/symmetric/ \
-		./internal/cache/
+		./internal/cache/ ./internal/resilience/scrub/ ./internal/crypto/merkle/
 
 # Anti-entropy cost curve: batched vs per-key scrub at 1k/10k/100k keys
 # (10% corruption, k=3). Reported msg/op is the simulated message count

@@ -27,24 +27,40 @@ const (
 )
 
 // LeafHash hashes application data into a leaf digest.
-func LeafHash(data []byte) [32]byte {
+func LeafHash(data []byte) [32]byte { return LeafHashConcat(data) }
+
+// LeafHashConcat is LeafHash over the concatenation parts[0] ‖ … ‖
+// parts[n-1] ‖ tail, streamed into the hash so the concatenation is never
+// built: key-bound leaf encodings (the scrub plane's copy leaves) hash per
+// key without allocating.
+func LeafHashConcat(tail []byte, parts ...string) [32]byte {
+	// sha256.New inlines here, so the digest, its writes and the sum all
+	// stay on the stack. Strings pass through a stack chunk: a []byte(s)
+	// conversion longer than 32 bytes would be heap-allocated.
 	h := sha256.New()
-	h.Write([]byte{leafPrefix})
-	h.Write(data)
+	var chunk [64]byte
+	chunk[0] = leafPrefix
+	h.Write(chunk[:1])
+	for _, p := range parts {
+		for len(p) > 0 {
+			n := copy(chunk[:], p)
+			h.Write(chunk[:n])
+			p = p[n:]
+		}
+	}
+	h.Write(tail)
 	var out [32]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 
 // NodeHash combines two child digests into a parent digest.
 func NodeHash(left, right [32]byte) [32]byte {
-	h := sha256.New()
-	h.Write([]byte{nodePrefix})
-	h.Write(left[:])
-	h.Write(right[:])
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	var buf [1 + 2*32]byte
+	buf[0] = nodePrefix
+	copy(buf[1:], left[:])
+	copy(buf[33:], right[:])
+	return sha256.Sum256(buf[:])
 }
 
 // Tree is an append-only binary Merkle tree over leaf digests.
@@ -67,21 +83,23 @@ func (t *Tree) Append(data []byte) int {
 	return len(t.leaves) - 1
 }
 
-// AppendLeafHash adds a precomputed leaf digest.
-func (t *Tree) AppendLeafHash(leaf [32]byte) int {
-	t.leaves = append(t.leaves, leaf)
-	return len(t.leaves) - 1
-}
-
 // Len returns the number of leaves.
 func (t *Tree) Len() int { return len(t.leaves) }
 
 // Root returns the root digest. An empty tree has the digest of nothing.
-func (t *Tree) Root() [32]byte {
-	if len(t.leaves) == 0 {
-		return sha256.Sum256([]byte("godosn/merkle/empty-v1"))
+func (t *Tree) Root() [32]byte { return RootOf(t.leaves) }
+
+// emptyRoot is the root of an empty leaf range.
+var emptyRoot = sha256.Sum256([]byte("godosn/merkle/empty-v1"))
+
+// RootOf returns the root over precomputed leaf digests, exactly as a Tree
+// holding them would: callers that already hold their leaves in a slice
+// fold them without copying them into a Tree. leaves is only read.
+func RootOf(leaves [][32]byte) [32]byte {
+	if len(leaves) == 0 {
+		return emptyRoot
 	}
-	return rootOf(t.leaves)
+	return rootOf(leaves)
 }
 
 // rootOf computes the RFC-6962-style root of a leaf range: the split point is

@@ -2,6 +2,7 @@ package merkle
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -217,5 +218,26 @@ func TestQuickMembership(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// LeafHashConcat must hash exactly LeafHash of the concatenation, whatever
+// the split — including parts longer than its internal stack chunk.
+func TestLeafHashConcatMatchesLeafHash(t *testing.T) {
+	long := strings.Repeat("0123456789", 20)
+	for _, c := range []struct {
+		tail  []byte
+		parts []string
+	}{
+		{nil, nil},
+		{[]byte("tail"), nil},
+		{nil, []string{"a"}},
+		{[]byte("v"), []string{"domain\x00", "key", "\x00"}},
+		{[]byte(long), []string{long, "", long[:64], long[:65]}},
+	} {
+		want := LeafHash([]byte(strings.Join(c.parts, "") + string(c.tail)))
+		if got := LeafHashConcat(c.tail, c.parts...); got != want {
+			t.Errorf("LeafHashConcat(%d-byte tail, %d parts) differs from LeafHash of the concatenation", len(c.tail), len(c.parts))
+		}
 	}
 }

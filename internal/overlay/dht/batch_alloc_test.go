@@ -48,3 +48,23 @@ func TestBatchAllocCeiling(t *testing.T) {
 		}
 	}
 }
+
+// TestDigestBatchAllocCeiling pins the host cost of a warm 8-group, 32-key
+// DigestBatchFrom. The replica hashes every copy without allocating, reuses
+// one leaves scratch across the request's groups and carves every group's
+// roots out of one flat array, so the RPC costs a fixed handful of
+// allocations, none per key or group. The ceiling is the measured count
+// (4); before the digest plane was made allocation-free it measured 222.
+func TestDigestBatchAllocCeiling(t *testing.T) {
+	d, names, replica, groups := digestBatchSetup(t)
+	client := string(names[0])
+	run := func() {
+		if _, _, err := d.DigestBatchFrom(client, groups, 7, replica); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if got := testing.AllocsPerRun(50, run); got > 4 {
+		t.Errorf("warm 8-group DigestBatchFrom: %.1f allocs/op, ceiling 4", got)
+	}
+}

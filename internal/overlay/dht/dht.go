@@ -295,10 +295,11 @@ func (d *DHT) handlerFor(n *node) simnet.HandlerFunc {
 			if !ok {
 				return simnet.Message{}, fmt.Errorf("dht: bad payload for %s", msg.Kind)
 			}
-			return simnet.Message{Kind: msg.Kind, Payload: localDigest(n, req.Keys, req.Nonce), Size: 64}, nil
+			dg, _ := localDigest(n, req.Keys, req.Nonce, nil)
+			return simnet.Message{Kind: msg.Kind, Payload: digestResp{Fresh: dg.Fresh[:], State: dg.State[:]}, Size: 64}, nil
 
 		case kindDigestBatch:
-			req, ok := msg.Payload.(digestBatchReq)
+			req, ok := msg.Payload.(*digestBatchReq)
 			if !ok {
 				return simnet.Message{}, fmt.Errorf("dht: bad payload for %s", msg.Kind)
 			}

@@ -93,18 +93,19 @@ func (d *DHT) DigestFrom(origin string, keys []string, nonce uint64, replica str
 }
 
 // localDigest computes a node's digests over its copies of keys —
-// node-local handler logic, free of network cost.
-func localDigest(n *node, keys []string, nonce uint64) digestResp {
-	leaves := make([][32]byte, 0, len(keys))
+// node-local handler logic, free of network cost. leaves is scratch the
+// caller owns: its slot 0 carries the nonce leaf, the rest one copy leaf per
+// key, and the grown slice comes back for the next call, so a request
+// digesting many groups allocates its leaves once.
+func localDigest(n *node, keys []string, nonce uint64, leaves [][32]byte) (overlay.Digest, [][32]byte) {
+	leaves = append(leaves[:0], [32]byte{})
 	n.mu.Lock()
 	for _, key := range keys {
 		v, ok := n.data[key]
 		leaves = append(leaves, overlay.CopyLeaf(key, v, ok))
 	}
 	n.mu.Unlock()
-	fresh := overlay.NoncedDigestOf(nonce, leaves)
-	state := overlay.DigestOf(leaves)
-	return digestResp{Fresh: fresh[:], State: state[:]}
+	return overlay.DigestLeaves(nonce, leaves), leaves
 }
 
 // SetPlacementFilter implements overlay.PlacementFilterable: allow vetoes

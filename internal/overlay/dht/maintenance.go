@@ -2,6 +2,7 @@ package dht
 
 import (
 	"fmt"
+	"sync"
 
 	"godosn/internal/overlay"
 	"godosn/internal/overlay/simnet"
@@ -27,7 +28,8 @@ var (
 const kindDigestBatch = "dht.digest_batch"
 
 // digestBatchReq carries one key group per scrub group the replica
-// participates in, all bound to the same pass nonce.
+// participates in, all bound to the same pass nonce. It travels as a
+// pointer inside a pooled digestCall (below).
 type digestBatchReq struct {
 	Groups [][]string
 	Nonce  uint64
@@ -39,25 +41,49 @@ type digestBatchReq struct {
 // value list, so a lying batch summary corrupts every group's digest and
 // causes drill-downs across the board instead of being trusted (a flat
 // concatenation would let a single bit flip hide in one group while the
-// rest short-circuit as clean).
+// rest short-circuit as clean). The elements are windows of one flat array
+// (full slice expressions), so a reply's roots cost one allocation; a
+// Byzantine mutation copies an element before flipping it, so a flip never
+// bleeds into a neighbouring group.
 type digestBatchResp struct {
 	Fresh [][]byte
 	State [][]byte
 }
 
+// digestCall is one DigestBatchFrom's trace and request envelope, drawn
+// from a pool like the data plane's envelopes (batch.go): neither outlives
+// the RPC, and release clears the borrowed key groups.
+type digestCall struct {
+	tr  simnet.Trace
+	req digestBatchReq
+}
+
+var digestCallPool = sync.Pool{New: func() any { return new(digestCall) }}
+
+func (c *digestCall) release() {
+	*c = digestCall{}
+	digestCallPool.Put(c)
+}
+
 // handleDigestBatch computes the replica-side multi-group digest —
-// node-local, free of network cost beyond the one reply.
-func handleDigestBatch(n *node, req digestBatchReq) (simnet.Message, error) {
-	resp := digestBatchResp{
-		Fresh: make([][]byte, 0, len(req.Groups)),
-		State: make([][]byte, 0, len(req.Groups)),
+// node-local, free of network cost beyond the one reply. One leaves scratch
+// serves every group, and every group's roots share one flat array.
+func handleDigestBatch(n *node, req *digestBatchReq) (simnet.Message, error) {
+	g := len(req.Groups)
+	var stack [32][32]byte // scrub groups are small; a larger one grows onto the heap
+	leaves := stack[:0]
+	flat := make([]byte, 64*g)
+	roots := make([][]byte, 2*g)
+	resp := digestBatchResp{Fresh: roots[:g:g], State: roots[g:]}
+	var dg overlay.Digest
+	for i, keys := range req.Groups {
+		dg, leaves = localDigest(n, keys, req.Nonce, leaves)
+		f, st := flat[64*i:64*i+32:64*i+32], flat[64*i+32:64*i+64:64*i+64]
+		copy(f, dg.Fresh[:])
+		copy(st, dg.State[:])
+		resp.Fresh[i], resp.State[i] = f, st
 	}
-	for _, keys := range req.Groups {
-		dg := localDigest(n, keys, req.Nonce)
-		resp.Fresh = append(resp.Fresh, dg.Fresh)
-		resp.State = append(resp.State, dg.State)
-	}
-	return simnet.Message{Kind: kindDigestBatch, Payload: resp, Size: batchEnvelopeOverhead + 64*len(req.Groups)}, nil
+	return simnet.Message{Kind: kindDigestBatch, Payload: resp, Size: batchEnvelopeOverhead + 64*g}, nil
 }
 
 // FetchBatchFrom implements overlay.BatchRepairKV: one fetch_batch envelope
@@ -132,12 +158,13 @@ func (d *DHT) StoreBatchTo(origin string, keys []string, values [][]byte, replic
 // envelope retrieving the Merkle roots of every key group from the named
 // replica, all bound to nonce.
 func (d *DHT) DigestBatchFrom(origin string, groups [][]string, nonce uint64, replica string) ([]overlay.Digest, overlay.OpStats, error) {
-	tr := &simnet.Trace{}
+	c := digestCallPool.Get().(*digestCall)
+	defer c.release()
 	d.mu.RLock()
 	rn := d.names[simnet.NodeID(replica)]
 	d.mu.RUnlock()
 	if rn == nil {
-		return nil, stats(tr), fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
+		return nil, stats(&c.tr), fmt.Errorf("dht: %w: replica %s", simnet.ErrUnknownNode, replica)
 	}
 	size := batchEnvelopeOverhead + 8
 	for _, keys := range groups {
@@ -146,27 +173,28 @@ func (d *DHT) DigestBatchFrom(origin string, groups [][]string, nonce uint64, re
 			size += len(k)
 		}
 	}
-	reply, err := d.net.RPC(tr, simnet.NodeID(origin), rn.name, simnet.Message{
+	c.req = digestBatchReq{Groups: groups, Nonce: nonce}
+	reply, err := d.net.RPC(&c.tr, simnet.NodeID(origin), rn.name, simnet.Message{
 		Kind:    kindDigestBatch,
-		Payload: digestBatchReq{Groups: groups, Nonce: nonce},
+		Payload: &c.req,
 		Size:    size,
 	})
 	if err != nil {
-		return nil, stats(tr), err
+		return nil, stats(&c.tr), err
 	}
 	resp, ok := reply.Payload.(digestBatchResp)
 	if !ok || len(resp.Fresh) != len(groups) || len(resp.State) != len(groups) {
-		return nil, stats(tr), fmt.Errorf("dht: bad digest_batch reply")
+		return nil, stats(&c.tr), fmt.Errorf("dht: bad digest_batch reply")
 	}
 	out := make([]overlay.Digest, len(groups))
 	for i := range groups {
 		if len(resp.Fresh[i]) != 32 || len(resp.State[i]) != 32 {
-			return nil, stats(tr), fmt.Errorf("dht: bad digest_batch reply")
+			return nil, stats(&c.tr), fmt.Errorf("dht: bad digest_batch reply")
 		}
 		copy(out[i].Fresh[:], resp.Fresh[i])
 		copy(out[i].State[:], resp.State[i])
 	}
-	return out, stats(tr), nil
+	return out, stats(&c.tr), nil
 }
 
 // PlanReplicas returns the replica candidate set for key from the DHT's own

@@ -27,27 +27,18 @@ const (
 // CopyLeaf hashes one replica's copy of key for digest comparison. present
 // distinguishes a held (possibly empty) value from a missing key; the key is
 // bound into the leaf so a value cannot stand in for another key's copy.
+// The leaf data is domain ‖ key ‖ 0 ‖ value (domain ‖ key when absent),
+// hashed without building the concatenation, so CopyLeaf never allocates.
 func CopyLeaf(key string, value []byte, present bool) [32]byte {
 	if !present {
-		return merkle.LeafHash([]byte(copyAbsent + key))
+		return merkle.LeafHashConcat(nil, copyAbsent, key)
 	}
-	buf := make([]byte, 0, len(copyPresent)+len(key)+1+len(value))
-	buf = append(buf, copyPresent...)
-	buf = append(buf, key...)
-	buf = append(buf, 0)
-	buf = append(buf, value...)
-	return merkle.LeafHash(buf)
+	return merkle.LeafHashConcat(value, copyPresent, key, "\x00")
 }
 
 // DigestOf folds copy leaves, in caller-fixed key order, into one Merkle
 // root. Order matters: both sides must walk the same sorted key list.
-func DigestOf(leaves [][32]byte) [32]byte {
-	t := &merkle.Tree{}
-	for _, l := range leaves {
-		t.AppendLeafHash(l)
-	}
-	return t.Root()
-}
+func DigestOf(leaves [][32]byte) [32]byte { return merkle.RootOf(leaves) }
 
 // NoncedDigestOf is DigestOf with the scrub pass's freshness nonce bound in
 // as the first leaf. The nonce forces a replica to commit per pass: a
@@ -55,14 +46,20 @@ func DigestOf(leaves [][32]byte) [32]byte {
 // stale nonce, so its root diverges from the honest replicas' and the
 // scrubber drills down within the same pass instead of one round late.
 func NoncedDigestOf(nonce uint64, leaves [][32]byte) [32]byte {
-	t := &merkle.Tree{}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], nonce)
-	t.AppendLeafHash(merkle.LeafHash(append([]byte(nonceDomain), buf[:]...)))
-	for _, l := range leaves {
-		t.AppendLeafHash(l)
-	}
-	return t.Root()
+	all := make([][32]byte, 1, 1+len(leaves))
+	return DigestLeaves(nonce, append(all, leaves...)).Fresh
+}
+
+// DigestLeaves computes both roots of a Digest from one leaf slice whose
+// slot 0 is reserved: it writes the nonce leaf there, so Fresh is the root
+// over all of leaves (NoncedDigestOf of leaves[1:]) and State the root over
+// leaves[1:] (DigestOf) — no leaf is copied.
+func DigestLeaves(nonce uint64, leaves [][32]byte) Digest {
+	var buf [len(nonceDomain) + 8]byte
+	copy(buf[:], nonceDomain)
+	binary.BigEndian.PutUint64(buf[len(nonceDomain):], nonce)
+	leaves[0] = merkle.LeafHash(buf[:])
+	return Digest{Fresh: merkle.RootOf(leaves), State: merkle.RootOf(leaves[1:])}
 }
 
 // RepairKV is implemented by overlays that can write a value directly onto

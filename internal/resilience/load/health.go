@@ -69,6 +69,8 @@ type record struct {
 
 	observed                      bool    // ranking: fed by Observe at least once
 	latencyMS, failRate, shedRate float64 // ranking: EWMAs
+
+	gauge *telemetry.Gauge // load_health_score_<node>, resolved on first use
 }
 
 // Health is the resilience layer's per-node health record: one map, one
@@ -119,6 +121,9 @@ func (h *Health) SetTelemetry(reg *telemetry.Registry) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.events, h.reg, h.obs = nil, nil, nil
+	for _, r := range h.nodes {
+		r.gauge = nil // resolved again in the new registry
+	}
 	if reg != nil {
 		h.events = reg.Events()
 		if h.rank {
@@ -201,7 +206,7 @@ func (h *Health) apply(node string, o Outcome, latency time.Duration, observe bo
 		r.observed = true
 		if h.obs != nil {
 			h.obs.Inc()
-			h.reg.Gauge("load_health_score_" + node).Set(h.score(r))
+			h.scoreGauge(node, r).Set(h.score(r))
 		}
 	}
 	hook := h.quarantine
@@ -292,9 +297,18 @@ func (h *Health) Tick() {
 		r.shedRate *= h.decay
 		r.latencyMS = baseMS + (r.latencyMS-baseMS)*h.decay
 		if h.obs != nil {
-			h.reg.Gauge("load_health_score_" + name).Set(h.score(r))
+			h.scoreGauge(name, r).Set(h.score(r))
 		}
 	}
+}
+
+// scoreGauge returns node's score gauge, looking it up in the registry
+// only the first time; call with h.mu held and telemetry attached.
+func (h *Health) scoreGauge(node string, r *record) *telemetry.Gauge {
+	if r.gauge == nil {
+		r.gauge = h.reg.Gauge("load_health_score_" + node)
+	}
+	return r.gauge
 }
 
 // NodeScore is one node's ranking state: its score (lower = healthier)

@@ -185,3 +185,24 @@ func TestPickSkipsOpenCircuitsThenRanks(t *testing.T) {
 		t.Fatalf("unranked Pick reordered: %v", ranked)
 	}
 }
+
+// TestHealthGaugesFollowRegistry: a node's score gauge is cached after its
+// first observation, but re-attaching telemetry resolves it again in the
+// new registry, so scores never keep flowing into a detached one.
+func TestHealthGaugesFollowRegistry(t *testing.T) {
+	h := NewHealth(DefaultTrackerConfig())
+	first, second := telemetry.NewRegistry(), telemetry.NewRegistry()
+	h.SetTelemetry(first)
+	h.Observe("n1", 20*time.Millisecond, OutcomeOK)
+	before := first.Gauge("load_health_score_n1").Value()
+	h.SetTelemetry(second)
+	h.Observe("n1", 20*time.Millisecond, OutcomeError)
+	h.Tick()
+	want := h.Snapshot()[0].Score
+	if got := second.Gauge("load_health_score_n1").Value(); got != want {
+		t.Errorf("new registry's gauge = %v, want the current score %v", got, want)
+	}
+	if got := first.Gauge("load_health_score_n1").Value(); got != before {
+		t.Errorf("detached registry's gauge moved from %v to %v", before, got)
+	}
+}

@@ -35,17 +35,23 @@ var ErrRecord = fmt.Errorf("%w: invalid sealed record", resilience.ErrCorrupt)
 var recordMagic = []byte("GDSNREC1")
 
 // checksum binds key and payload: a valid record for key A cannot verify as
-// key B's record, which is what defeats stale-value replay across keys.
+// key B's record, which is what defeats stale-value replay across keys. It
+// streams magic ‖ len(key) ‖ key ‖ payload into the hash through a stack
+// buffer, so verifying a record allocates nothing.
 func checksum(key string, payload []byte) [32]byte {
 	h := sha256.New()
-	h.Write(recordMagic)
-	var klen [4]byte
-	binary.BigEndian.PutUint32(klen[:], uint32(len(key)))
-	h.Write(klen[:])
-	h.Write([]byte(key))
+	var buf [64]byte
+	head := append(buf[:0], recordMagic...)
+	head = binary.BigEndian.AppendUint32(head, uint32(len(key)))
+	h.Write(head)
+	for len(key) > 0 {
+		n := copy(buf[:], key)
+		h.Write(buf[:n])
+		key = key[n:]
+	}
 	h.Write(payload)
 	var out [32]byte
-	copy(out[:], h.Sum(nil))
+	h.Sum(out[:0])
 	return out
 }
 
@@ -73,25 +79,42 @@ func Open(key string, record []byte) ([]byte, error) {
 		return nil, err
 	}
 	if isKeyedEnvelope(payload) {
-		return payload[len(keyedMagic)+macSize:], nil
+		payload = payload[len(keyedMagic)+macSize:]
+	}
+	return append([]byte(nil), payload...), nil
+}
+
+// openOuter verifies framing and checksum in place and returns the outer
+// payload aliased into record — the shared half of Open, OpenKeyed and
+// Check; the callers that hand a payload out copy it.
+func openOuter(key string, record []byte) ([]byte, error) {
+	if len(record) < len(recordMagic)+32 || !bytes.Equal(record[:len(recordMagic)], recordMagic) {
+		return nil, &recordError{key: key, framing: true, size: len(record)}
+	}
+	payload := record[len(recordMagic)+32:]
+	if checksum(key, payload) != [32]byte(record[len(recordMagic):]) {
+		return nil, &recordError{key: key}
 	}
 	return payload, nil
 }
 
-// openOuter verifies framing and checksum and returns the outer payload as
-// a fresh copy — the shared half of Open and OpenKeyed.
-func openOuter(key string, record []byte) ([]byte, error) {
-	if len(record) < len(recordMagic)+32 || !bytes.Equal(record[:len(recordMagic)], recordMagic) {
-		return nil, fmt.Errorf("%w: key %q: bad framing (%d bytes)", ErrRecord, key, len(record))
-	}
-	var sum [32]byte
-	copy(sum[:], record[len(recordMagic):])
-	payload := record[len(recordMagic)+32:]
-	if checksum(key, payload) != sum {
-		return nil, fmt.Errorf("%w: key %q: checksum mismatch", ErrRecord, key)
-	}
-	return append([]byte(nil), payload...), nil
+// recordError is openOuter's failure: bad framing or a checksum mismatch.
+// It wraps ErrRecord, and costs one allocation where fmt.Errorf cost
+// several — verification runs on every verified read.
+type recordError struct {
+	key     string
+	framing bool // bad framing (else a checksum mismatch)
+	size    int  // record length, for bad framing
 }
+
+func (e *recordError) Error() string {
+	if e.framing {
+		return fmt.Sprintf("%v: key %q: bad framing (%d bytes)", ErrRecord, e.key, e.size)
+	}
+	return fmt.Sprintf("%v: key %q: checksum mismatch", ErrRecord, e.key)
+}
+
+func (e *recordError) Unwrap() error { return ErrRecord }
 
 // Check verifies a sealed record without returning the payload — the
 // resilience.VerifyFunc shape, pluggable straight into the KV decorator:
@@ -99,10 +122,11 @@ func openOuter(key string, record []byte) ([]byte, error) {
 //	cfg.Verify = scrub.Check
 //
 // Like Open it accepts both plain and keyed records; it checks integrity
-// (the keyless checksum) only. Deployments that hold the MAC key gate the
-// stronger check in by configuring CheckKeyed instead.
+// (the keyless checksum) only, in place, allocating nothing for a valid
+// record. Deployments that hold the MAC key gate the stronger check in by
+// configuring CheckKeyed instead.
 func Check(key string, record []byte) error {
-	_, err := Open(key, record)
+	_, err := openOuter(key, record)
 	return err
 }
 
@@ -187,7 +211,7 @@ func OpenKeyed(mackey []byte, key string, record []byte) ([]byte, error) {
 	if !hmac.Equal(tag, want[:]) {
 		return nil, fmt.Errorf("%w: key %q: MAC mismatch", ErrRecord, key)
 	}
-	return payload, nil
+	return append([]byte(nil), payload...), nil
 }
 
 // CheckKeyed returns a resilience.VerifyFunc that enforces the keyed form

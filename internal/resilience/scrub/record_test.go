@@ -184,3 +184,28 @@ func TestTimelineCheckCatchesForgeryTheChecksumCannot(t *testing.T) {
 		t.Fatalf("wrong owner: got %v, want ErrRecord", err)
 	}
 }
+
+// TestRecordErrorText pins the text of a failed outer verification —
+// operators grep logs for it — and that it still wraps ErrRecord and so
+// resilience.ErrCorrupt.
+func TestRecordErrorText(t *testing.T) {
+	key := `tl/"quoted"/7`
+	rec := Seal(key, []byte("payload"))
+	const prefix = `resilience: read failed integrity verification: invalid sealed record: key "tl/\"quoted\"/7": `
+	_, short := Open(key, rec[:10])
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{short, prefix + "bad framing (10 bytes)"},
+		{Check(key, flip(rec, len(rec)-1)), prefix + "checksum mismatch"},
+		{Check(key, append([]byte("XXXXXXXX"), rec[8:]...)), prefix + "bad framing (47 bytes)"},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("error = %v, want %q", c.err, c.want)
+		}
+		if !errors.Is(c.err, ErrRecord) || !errors.Is(c.err, resilience.ErrCorrupt) {
+			t.Errorf("%v does not wrap ErrRecord and resilience.ErrCorrupt", c.err)
+		}
+	}
+}

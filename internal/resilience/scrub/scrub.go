@@ -3,6 +3,7 @@ package scrub
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -363,9 +364,21 @@ func (s *Scrubber) ScrubResolved(groups []Group) (Report, error) {
 // ScrubResolvedSpan is ScrubResolved with span attribution (see ScrubSpan).
 func (s *Scrubber) ScrubResolvedSpan(sp *telemetry.Span, groups []Group) (Report, error) {
 	report := Report{}
+	// The pass works on its own copies of the caller's keys and replicas:
+	// one flat array each, carved into per-group slices.
+	nk, nr := 0, 0
+	for _, g := range groups {
+		nk += len(g.Keys)
+		nr += len(g.Replicas)
+	}
+	keyBuf, repBuf := make([]string, 0, nk), make([]string, 0, nr)
 	gs := make([]group, 0, len(groups))
 	for _, g := range groups {
-		keys := dedupe(g.Keys)
+		lo := len(keyBuf)
+		keys := append(keyBuf, g.Keys...)[lo:]
+		slices.Sort(keys)
+		keys = slices.Clip(slices.Compact(keys))
+		keyBuf = keyBuf[:lo+len(keys)]
 		report.KeysScanned += len(keys)
 		if len(keys) == 0 {
 			continue
@@ -374,8 +387,9 @@ func (s *Scrubber) ScrubResolvedSpan(sp *telemetry.Span, groups []Group) (Report
 			report.Failed += len(keys)
 			continue
 		}
-		sort.Strings(keys)
-		gs = append(gs, group{replicas: append([]string(nil), g.Replicas...), keys: keys})
+		lo = len(repBuf)
+		repBuf = append(repBuf, g.Replicas...)
+		gs = append(gs, group{replicas: repBuf[lo:len(repBuf):len(repBuf)], keys: keys})
 	}
 	report.Groups = len(gs)
 	if len(gs) == 0 {
@@ -399,8 +413,8 @@ func (s *Scrubber) run(sp *telemetry.Span, report *Report, groups []group) {
 			gsp = telemetry.NewSpan("group")
 		}
 		var dg *groupDigests
-		if digests != nil {
-			dg = digests[i]
+		if digests != nil && digests[i].roots != nil {
+			dg = &digests[i]
 		}
 		return s.scrubGroup(gsp, nonce, g, dg), nil
 	})
@@ -408,7 +422,7 @@ func (s *Scrubber) run(sp *telemetry.Span, report *Report, groups []group) {
 	// Merge deterministically in group order: verdicts, counters, events,
 	// spans, and the pass fingerprint all follow group formation order
 	// (sorted keys within a group), independent of Workers.
-	fp := &merkle.Tree{}
+	fp := make([][32]byte, 0, report.KeysScanned)
 	for _, r := range results {
 		sp.Adopt(r.span)
 		report.Stats.Add(r.stats)
@@ -425,7 +439,7 @@ func (s *Scrubber) run(sp *telemetry.Span, report *Report, groups []group) {
 		if r.digestClean {
 			report.DigestClean++
 			for _, key := range r.g.keys {
-				fp.AppendLeafHash(merkle.NodeHash(merkle.LeafHash([]byte(key)), r.digestRoot))
+				fp = append(fp, merkle.NodeHash(merkle.LeafHashConcat(nil, key), r.digestRoot))
 			}
 			continue
 		}
@@ -467,11 +481,11 @@ func (s *Scrubber) run(sp *telemetry.Span, report *Report, groups []group) {
 			} else {
 				report.CleanKeys++
 			}
-			fp.AppendLeafHash(merkle.NodeHash(merkle.LeafHash([]byte(o.key)),
+			fp = append(fp, merkle.NodeHash(merkle.LeafHashConcat(nil, o.key),
 				overlay.CopyLeaf(o.key, o.canonical, o.found)))
 		}
 	}
-	report.Digest = fp.Root()
+	report.Digest = merkle.RootOf(fp)
 	report.Repaired = report.RepairedWrites
 	report.Unrepairable = report.RepairWriteFailures
 	s.notePass(report)
@@ -506,83 +520,92 @@ func (d *groupDigests) clean() bool {
 // DigestBatchFrom per distinct replica, covering every multi-replica group
 // that replica participates in, instead of one DigestFrom per (group,
 // replica) pair. Returns nil when the batched digest path is inactive
-// (groups then run the legacy per-group exchange inside scrubGroup).
-// Stats, counters, and spans are merged in deterministic replica order.
-func (s *Scrubber) digestPhase(sp *telemetry.Span, nonce uint64, groups []group, report *Report) []*groupDigests {
+// (groups then run the legacy per-group exchange inside scrubGroup); a
+// group with fewer than two replicas gets no columns. Stats, counters, and
+// spans are merged in deterministic replica order.
+//
+// The phase is positional: every (group, replica) pair owns one slot of
+// flat roots/got arrays, so a group's columns are one window of them, and
+// replica c's key groups are the window refs[start[c]:start[c+1]].
+func (s *Scrubber) digestPhase(sp *telemetry.Span, nonce uint64, groups []group, report *Report) []groupDigests {
 	if !s.batchDigests() {
 		return nil
 	}
-	idx := make(map[string][]int) // replica -> participating group indices
-	var order []string            // first-appearance replica order
+	out := make([]groupDigests, len(groups))
+	pairs := 0
 	for gi := range groups {
-		if len(groups[gi].replicas) < 2 {
-			continue
-		}
-		for _, name := range groups[gi].replicas {
-			if _, ok := idx[name]; !ok {
-				order = append(order, name)
-			}
-			idx[name] = append(idx[name], gi)
+		if n := len(groups[gi].replicas); n >= 2 {
+			pairs += n
 		}
 	}
-	out := make([]*groupDigests, len(groups))
-	for gi := range groups {
-		if len(groups[gi].replicas) < 2 {
-			continue
-		}
-		out[gi] = &groupDigests{
-			roots: make([]overlay.Digest, len(groups[gi].replicas)),
-			got:   make([]bool, len(groups[gi].replicas)),
-		}
-	}
-	if len(order) == 0 {
+	if pairs == 0 {
 		return out
 	}
+	roots := make([]overlay.Digest, pairs)
+	got := make([]bool, pairs)
+	order := make([]string, 0, pairs) // first-appearance replica order
+	slot := 0
+	for gi := range groups {
+		reps := groups[gi].replicas
+		if len(reps) < 2 {
+			continue
+		}
+		end := slot + len(reps)
+		out[gi] = groupDigests{roots: roots[slot:end:end], got: got[slot:end:end]}
+		slot = end
+		for _, name := range reps {
+			if !slices.Contains(order, name) {
+				order = append(order, name)
+			}
+		}
+	}
+	type ref struct{ gi, ri int } // a replica's column in one group
+	refs := make([]ref, 0, pairs)
+	keyGroups := make([][]string, 0, pairs) // aligned with refs
+	start := make([]int, 1, len(order)+1)
+	for _, name := range order {
+		for gi := range groups {
+			if ri := slices.Index(groups[gi].replicas, name); ri >= 0 && out[gi].roots != nil {
+				refs = append(refs, ref{gi, ri})
+				keyGroups = append(keyGroups, groups[gi].keys)
+			}
+		}
+		start = append(start, len(refs))
+	}
 	type digestCol struct {
-		name  string
 		roots []overlay.Digest
 		st    overlay.OpStats
 		err   error
 		span  *telemetry.Span
 	}
-	cols, _ := parallel.Map(s.cfg.Workers, order, func(_ int, name string) (digestCol, error) {
-		gis := idx[name]
-		keyGroups := make([][]string, len(gis))
-		for j, gi := range gis {
-			keyGroups[j] = groups[gi].keys
-		}
+	cols, _ := parallel.Map(s.cfg.Workers, order, func(c int, name string) (digestCol, error) {
+		kg := keyGroups[start[c]:start[c+1]]
 		var dsp *telemetry.Span
 		if sp != nil {
 			dsp = telemetry.NewSpan("digest")
 			dsp.Tag("replica", name)
-			dsp.Tag("groups", strconv.Itoa(len(gis)))
+			dsp.Tag("groups", strconv.Itoa(len(kg)))
 		}
-		roots, st, err := s.bdigest.DigestBatchFrom(s.cfg.Origin, keyGroups, nonce, name)
+		roots, st, err := s.bdigest.DigestBatchFrom(s.cfg.Origin, kg, nonce, name)
 		dsp.AddLatency(st.Latency)
 		if err != nil {
 			dsp.End("error")
 		} else {
 			dsp.End("ok")
 		}
-		return digestCol{name: name, roots: roots, st: st, err: err, span: dsp}, nil
+		return digestCol{roots: roots, st: st, err: err, span: dsp}, nil
 	})
-	for _, c := range cols {
-		sp.Adopt(c.span)
-		report.Stats.Add(c.st)
+	for c, dc := range cols {
+		sp.Adopt(dc.span)
+		report.Stats.Add(dc.st)
 		report.BatchRPCs++
-		report.BatchMsgs += c.st.Messages
-		if c.err != nil {
+		report.BatchMsgs += dc.st.Messages
+		if dc.err != nil {
 			continue
 		}
-		for j, gi := range idx[c.name] {
-			gd := out[gi]
-			for ri, rn := range groups[gi].replicas {
-				if rn == c.name {
-					gd.roots[ri] = c.roots[j]
-					gd.got[ri] = true
-					break
-				}
-			}
+		for j, root := range dc.roots {
+			r := refs[start[c]+j]
+			out[r.gi].roots[r.ri], out[r.gi].got[r.ri] = root, true
 		}
 	}
 	return out
@@ -599,13 +622,16 @@ func (s *Scrubber) WorstCaseMessages(groups []Group) int {
 	const perRPC = 2 // request + reply
 	total := 0
 	if s.batchDigests() {
-		distinct := make(map[string]bool)
+		var buf [64]string
+		distinct := buf[:0]
 		for _, g := range groups {
 			if len(g.Replicas) < 2 {
 				continue
 			}
 			for _, n := range g.Replicas {
-				distinct[n] = true
+				if !slices.Contains(distinct, n) {
+					distinct = append(distinct, n)
+				}
 			}
 		}
 		total += len(distinct) * perRPC

@@ -1,7 +1,7 @@
 package scrub
 
 import (
-	"strings"
+	"slices"
 
 	"godosn/internal/telemetry"
 )
@@ -81,7 +81,7 @@ type Sweeper struct {
 
 	prio     []int // priority queue: chunk indices, FIFO
 	queued   map[int]bool
-	lastPlan []map[string]bool // chunk -> replicas seen at last scrub
+	lastPlan [][]string // chunk -> replicas seen at last scrub, sorted and distinct
 
 	ticks int
 
@@ -191,7 +191,7 @@ func (s *Sweeper) NoteSuspect(key string) {
 // priority; the cursor reaches them anyway.
 func (s *Sweeper) NoteSuspectNode(node string) {
 	for ci := range s.chunks {
-		if s.lastPlan[ci] != nil && s.lastPlan[ci][node] {
+		if _, found := slices.BinarySearch(s.lastPlan[ci], node); found {
 			s.enqueue(ci)
 		}
 	}
@@ -246,30 +246,43 @@ func (s *Sweeper) consume(ci int, fromPrio bool) {
 // keys sharing a planned replica set share a group (first-occurrence
 // order, the same bucketing Scrub applies after resolution). Zero network
 // cost. Keys whose plan is empty form a headless group that ScrubResolved
-// reports as failed.
-func (s *Sweeper) planChunk(ci int) ([]Group, map[string]bool) {
-	bySet := make(map[string]*Group)
-	var order []string
-	replicas := make(map[string]bool)
-	for _, key := range s.chunks[ci] {
+// reports as failed. A chunk holds few groups, so a group is found by
+// comparing replica lists, and the groups' keys share one array.
+func (s *Sweeper) planChunk(ci int) []Group {
+	keys := s.chunks[ci]
+	groups := make([]Group, 0, len(keys))
+	gidx := make([]int, len(keys)) // key -> group
+	for i, key := range keys {
 		names := s.planner.PlanReplicas(key)
-		sig := strings.Join(names, "\x00")
-		g, ok := bySet[sig]
-		if !ok {
-			g = &Group{Replicas: names}
-			bySet[sig] = g
-			order = append(order, sig)
+		gi := slices.IndexFunc(groups, func(g Group) bool { return slices.Equal(g.Replicas, names) })
+		if gi < 0 {
+			gi = len(groups)
+			groups = append(groups, Group{Replicas: names})
 		}
-		g.Keys = append(g.Keys, key)
-		for _, n := range names {
-			replicas[n] = true
+		gidx[i] = gi
+	}
+	flat := make([]string, 0, len(keys))
+	for gi := range groups {
+		lo := len(flat)
+		for i, key := range keys {
+			if gidx[i] == gi {
+				flat = append(flat, key)
+			}
 		}
+		groups[gi].Keys = flat[lo:len(flat):len(flat)]
 	}
-	groups := make([]Group, 0, len(order))
-	for _, sig := range order {
-		groups = append(groups, *bySet[sig])
+	return groups
+}
+
+// replicaSet returns the distinct replicas of groups, sorted, reusing dst's
+// array.
+func replicaSet(dst []string, groups []Group) []string {
+	dst = dst[:0]
+	for _, g := range groups {
+		dst = append(dst, g.Replicas...)
 	}
-	return groups, replicas
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // Tick runs one budgeted sweep step: chunks are taken from the priority
@@ -292,7 +305,7 @@ func (s *Sweeper) Tick() (SweepReport, error) {
 		if !ok {
 			break // every chunk already visited this tick
 		}
-		groups, plan := s.planChunk(ci)
+		groups := s.planChunk(ci)
 		worst := s.sc.WorstCaseMessages(groups)
 		if s.cfg.Budget > 0 {
 			if worst > s.cfg.Budget {
@@ -316,7 +329,7 @@ func (s *Sweeper) Tick() (SweepReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		s.lastPlan[ci] = plan
+		s.lastPlan[ci] = replicaSet(s.lastPlan[ci], groups)
 		rep.Chunks++
 		rep.Keys += r.KeysScanned
 		rep.Msgs += r.Stats.Messages

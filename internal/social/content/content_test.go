@@ -142,7 +142,7 @@ func TestFeedSkipsUnreadable(t *testing.T) {
 	f := newFixture(t, "alice", "bob", "eve")
 	friends := symGroup(t, "friends", "alice", "bob")
 	private := symGroup(t, "private", "alice")
-	t0 := time.Now()
+	t0 := time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC)
 	envF, _ := friends.Encrypt([]byte("for friends"))
 	envP, _ := private.Encrypt([]byte("for me only"))
 	feed := &Feed{}
